@@ -133,15 +133,11 @@ echo "== tier-2: sr32lint gate =="
 # Every synthetic benchmark and its compressed image must lint clean, and
 # the linter's *independent* static recount of the compression ratio must
 # equal the codec's claim exactly and match the golden Table 3 values
-# (seed 42). A corrupted ROM must fail the gate with a JSON diagnostic
-# naming the faulting address.
+# (seed 42).
 for p in cc1 go mpeg2enc pegwit perl vortex; do
     "$CPACK" lint "$p" --json > "$OBS_TMP/lint-$p.json" \
         || { echo "lint gate failed for $p"; cat "$OBS_TMP/lint-$p.json"; exit 1; }
 done
-"$CPACK" compress pegwit -o "$OBS_TMP/pegwit.cpk" > /dev/null
-"$CPACK" lint "$OBS_TMP/pegwit.cpk" --json > "$OBS_TMP/lint-rom.json" \
-    || { echo "lint gate failed for pegwit.cpk"; exit 1; }
 python3 - "$OBS_TMP" <<'PYEOF'
 import json, sys
 tmp = sys.argv[1]
@@ -156,38 +152,7 @@ for p, want in golden.items():
         f"{p}: static {ratio['static_ratio']} != codec {ratio['codec_ratio']}"
     assert round(ratio["static_ratio"], 4) == want, \
         f"{p}: ratio {ratio['static_ratio']:.4f} != golden {want}"
-with open(f"{tmp}/lint-rom.json") as f:
-    r = json.load(f)
-assert r["clean"], "pegwit.cpk: rom lint not clean"
-print(f"tier-2 lint smoke: 6 profiles + 1 rom clean, static ratios == golden")
-PYEOF
-
-# Corruption must be caught statically: flip index-entry bits, expect a
-# nonzero exit and an error diagnostic carrying the native address.
-python3 - "$OBS_TMP" <<'PYEOF'
-import sys
-tmp = sys.argv[1]
-with open(f"{tmp}/pegwit.cpk", "rb") as f:
-    b = bytearray(f.read())
-hi = int.from_bytes(b[8:10], "little")
-lo = int.from_bytes(b[10:12], "little")
-index_at = 12 + 2 * (hi + lo) + 4
-b[index_at + 4] ^= 0x55
-with open(f"{tmp}/pegwit-corrupt.cpk", "wb") as f:
-    f.write(b)
-PYEOF
-if "$CPACK" lint "$OBS_TMP/pegwit-corrupt.cpk" --json > "$OBS_TMP/lint-corrupt.json"; then
-    echo "lint gate MISSED a corrupted index entry"; exit 1
-fi
-python3 - "$OBS_TMP" <<'PYEOF'
-import json, sys
-tmp = sys.argv[1]
-with open(f"{tmp}/lint-corrupt.json") as f:
-    r = json.load(f)
-assert not r["clean"] and r["errors"] > 0
-assert any(d["severity"] == "error" and (d["addr"] or "").startswith("0x")
-           for d in r["diagnostics"]), "no error diagnostic names an address"
-print("tier-2 lint smoke: corrupted index entry detected statically")
+print(f"tier-2 lint smoke: 6 profiles clean, static ratios == golden")
 PYEOF
 
 echo "== tier-2: .cpk frame lint gate =="
@@ -234,6 +199,43 @@ assert not r["clean"] and r["errors"] > 0
 assert any("group 0" in d["message"] for d in r["diagnostics"]), \
     "no diagnostic names the damaged group"
 print("tier-2 frame lint: flipped payload byte detected, group named")
+PYEOF
+
+# A corrupted block extent must be caught statically: move group 0's
+# first_len to another value that still fits its payload, expect a nonzero
+# exit and a frame-payload error naming the group and its native address.
+python3 - "$OBS_TMP" <<'PYEOF'
+import sys
+tmp = sys.argv[1]
+with open(f"{tmp}/frame-pegwit.cpk", "rb") as f:
+    b = bytearray(f.read())
+hi = int.from_bytes(b[16:18], "little")
+lo = int.from_bytes(b[18:20], "little")
+chunk_at = 20 + 2 * (hi + lo) + 4
+payload_len = int.from_bytes(b[chunk_at:chunk_at + 4], "little")
+first_len = int.from_bytes(b[chunk_at + 4:chunk_at + 6], "little")
+moved = first_len - 1 if first_len > 1 else first_len + 1
+assert moved <= payload_len
+b[chunk_at + 4:chunk_at + 6] = moved.to_bytes(2, "little")
+with open(f"{tmp}/frame-pegwit-extent.cpk", "wb") as f:
+    f.write(b)
+PYEOF
+if "$CPACK" lint "$OBS_TMP/frame-pegwit-extent.cpk" --json \
+        > "$OBS_TMP/flint-extent.json"; then
+    echo "frame lint gate MISSED a corrupted first_len"; exit 1
+fi
+python3 - "$OBS_TMP" <<'PYEOF'
+import json, sys
+tmp = sys.argv[1]
+with open(f"{tmp}/flint-extent.json") as f:
+    r = json.load(f)
+assert not r["clean"] and r["errors"] > 0
+assert any(d["severity"] == "error" and d["check"] == "frame-payload"
+           and "group 0" in d["message"]
+           and (d["addr"] or "").startswith("0x")
+           for d in r["diagnostics"]), \
+    "no frame-payload error names group 0 and its address"
+print("tier-2 frame lint: corrupted first_len detected statically, group and address named")
 PYEOF
 
 echo "== tier-2: codec + frame fuzzer (fixed seed, both backends) =="

@@ -58,7 +58,9 @@ fn main() {
         let fast_ns = b
             .with_throughput(Throughput::Bytes(bytes))
             .bench(format!("fast/{}", profile.name), || {
-                image.decompress_all_fast().expect("clean image decodes")
+                image
+                    .decompress_all_with(DecodeBackend::Fast)
+                    .expect("clean image decodes")
             })
             .median_ns;
 

@@ -33,14 +33,14 @@ fn list_names_all_profiles() {
 }
 
 #[test]
-fn compress_then_inspect_round_trip() {
+fn pack_then_inspect_round_trip() {
     let dir = std::env::temp_dir().join(format!("cpack-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let rom = dir.join("pegwit.cpk");
+    let frame = dir.join("pegwit.cpk");
 
     let out = cpack()
-        .args(["compress", "pegwit", "-o"])
-        .arg(&rom)
+        .args(["pack", "pegwit", "-o"])
+        .arg(&frame)
         .output()
         .expect("spawn");
     assert!(
@@ -48,9 +48,9 @@ fn compress_then_inspect_round_trip() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(rom.exists());
+    assert!(frame.exists());
 
-    let out = cpack().arg("inspect").arg(&rom).output().expect("spawn");
+    let out = cpack().arg("inspect").arg(&frame).output().expect("spawn");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("ratio") && text.contains("dictionary"));
@@ -63,7 +63,7 @@ fn inspect_rejects_garbage() {
     let dir = std::env::temp_dir().join(format!("cpack-garbage-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let bad = dir.join("bad.cpk");
-    std::fs::write(&bad, b"not a rom at all").expect("write");
+    std::fs::write(&bad, b"not a frame at all").expect("write");
     let out = cpack().arg("inspect").arg(&bad).output().expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("magic"));

@@ -1,7 +1,7 @@
 //! End-to-end tests of `cpack lint`: exit codes and the JSON report, on
-//! clean benchmarks and deliberately corrupted ROM images.
+//! clean benchmarks and deliberately corrupted `.cpk` frames.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use codepack_obs::json::{self, Value};
@@ -45,65 +45,88 @@ fn clean_profile_json_is_well_formed() {
     );
 }
 
-#[test]
-fn clean_rom_file_exits_zero() {
-    let rom = scratch("clean.cpk");
-    let out = cpack(&["compress", "pegwit", "-o", rom.to_str().unwrap()]);
+/// Packs pegwit into a `.cpk` frame at `path`.
+fn pack_pegwit(path: &Path) {
+    let out = cpack(&["pack", "pegwit", "-o", path.to_str().unwrap()]);
     assert!(out.status.success(), "{:?}", out);
-    let out = cpack(&["lint", rom.to_str().unwrap()]);
+}
+
+fn lint_json(path: &Path) -> (Output, Value) {
+    let out = cpack(&["lint", path.to_str().unwrap(), "--json"]);
+    let doc = String::from_utf8_lossy(&out.stdout).into_owned();
+    let v = json::parse(&doc).expect("valid json");
+    (out, v)
+}
+
+#[test]
+fn clean_frame_file_exits_zero() {
+    let frame = scratch("clean.cpk");
+    pack_pegwit(&frame);
+    let out = cpack(&["lint", frame.to_str().unwrap()]);
     assert!(out.status.success(), "{:?}", out);
 }
 
 #[test]
-fn corrupted_index_entry_fails_with_json_diagnostic_naming_the_address() {
-    let rom = scratch("corrupt-index.cpk");
-    let out = cpack(&["compress", "pegwit", "-o", rom.to_str().unwrap()]);
-    assert!(out.status.success(), "{:?}", out);
+fn corrupted_first_len_fails_with_json_diagnostic_naming_group_and_address() {
+    let frame = scratch("corrupt-first-len.cpk");
+    pack_pegwit(&frame);
 
-    // CPK1 layout: magic(4) n_insns(4) high_len(2) low_len(2)
-    // dict entries (2 bytes each), n_groups(4), then the index table.
-    // Corrupt the second entry's low byte (second-block offset bits).
-    let mut bytes = std::fs::read(&rom).unwrap();
-    let hi = u16::from_le_bytes([bytes[8], bytes[9]]) as usize;
-    let lo = u16::from_le_bytes([bytes[10], bytes[11]]) as usize;
-    let index_at = 12 + 2 * (hi + lo) + 4;
-    bytes[index_at + 4] ^= 0x55;
-    std::fs::write(&rom, &bytes).unwrap();
+    // Frame header: magic(4) version(2) flags(2) content_size(8)
+    // high_len(2) low_len(2), dict entries (2 bytes each), header_crc(4);
+    // group 0's chunk then opens with payload_len(4) and first_len(2).
+    // Move first_len to another in-range value.
+    let mut bytes = std::fs::read(&frame).unwrap();
+    let hi = u16::from_le_bytes([bytes[16], bytes[17]]) as usize;
+    let lo = u16::from_le_bytes([bytes[18], bytes[19]]) as usize;
+    let chunk_at = 20 + 2 * (hi + lo) + 4;
+    let payload_len = u32::from_le_bytes(bytes[chunk_at..chunk_at + 4].try_into().unwrap());
+    let first_at = chunk_at + 4;
+    let first_len = u16::from_le_bytes([bytes[first_at], bytes[first_at + 1]]);
+    let moved = if first_len > 1 {
+        first_len - 1
+    } else {
+        first_len + 1
+    };
+    assert!(u32::from(moved) <= payload_len);
+    bytes[first_at..first_at + 2].copy_from_slice(&moved.to_le_bytes());
+    std::fs::write(&frame, &bytes).unwrap();
 
-    let out = cpack(&["lint", rom.to_str().unwrap(), "--json"]);
+    let (out, v) = lint_json(&frame);
     assert!(!out.status.success(), "corruption must fail the gate");
-    let doc = String::from_utf8_lossy(&out.stdout);
-    let v = json::parse(&doc).expect("valid json on failure too");
     assert_eq!(v.get("clean").and_then(Value::as_bool), Some(false));
     assert!(v.get("errors").and_then(Value::as_u64).unwrap() > 0);
     let diags = v.get("diagnostics").and_then(Value::as_array).unwrap();
-    let has_addressed_error = diags.iter().any(|d| {
+    let names_group_and_address = diags.iter().any(|d| {
         d.get("severity").and_then(Value::as_str) == Some("error")
+            && d.get("check").and_then(Value::as_str) == Some("frame-payload")
+            && d.get("message")
+                .and_then(Value::as_str)
+                .is_some_and(|m| m.contains("group 0"))
             && d.get("addr")
                 .and_then(Value::as_str)
                 .is_some_and(|a| a.starts_with("0x"))
     });
     assert!(
-        has_addressed_error,
-        "an error diagnostic must name the native address: {doc}"
+        names_group_and_address,
+        "a frame-payload error must name group 0 and its native address: {v:?}"
     );
 }
 
 #[test]
-fn truncated_rom_fails_with_structure_error() {
-    let rom = scratch("truncated.cpk");
-    let out = cpack(&["compress", "pegwit", "-o", rom.to_str().unwrap()]);
-    assert!(out.status.success(), "{:?}", out);
-    let bytes = std::fs::read(&rom).unwrap();
-    std::fs::write(&rom, &bytes[..40]).unwrap();
-    let out = cpack(&["lint", rom.to_str().unwrap(), "--json"]);
+fn truncated_frame_fails_with_a_frame_error() {
+    let frame = scratch("truncated.cpk");
+    pack_pegwit(&frame);
+    let bytes = std::fs::read(&frame).unwrap();
+    std::fs::write(&frame, &bytes[..40]).unwrap();
+    let (out, v) = lint_json(&frame);
     assert!(!out.status.success());
-    let doc = String::from_utf8_lossy(&out.stdout);
-    let v = json::parse(&doc).expect("valid json");
     let diags = v.get("diagnostics").and_then(Value::as_array).unwrap();
-    assert!(diags
-        .iter()
-        .any(|d| d.get("check").and_then(Value::as_str) == Some("rom-structure")));
+    assert!(diags.iter().any(|d| {
+        d.get("severity").and_then(Value::as_str) == Some("error")
+            && d.get("check")
+                .and_then(Value::as_str)
+                .is_some_and(|c| c.starts_with("frame-"))
+    }));
 }
 
 #[test]

@@ -78,7 +78,7 @@ impl Dictionary {
     }
 
     /// Reconstructs a dictionary from its rank-ordered values (e.g. when
-    /// loading a ROM image — the hardware receives exactly this table at
+    /// reading a `.cpk` frame header — the hardware receives exactly this table at
     /// program load time).
     ///
     /// ```

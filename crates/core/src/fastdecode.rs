@@ -110,7 +110,7 @@ pub const LOOKUP_BITS: u32 = 11;
 /// the raw escape, how many bit-buffer refills it pays — to judge future
 /// SIMD work against. The hot [`FastDecoder::decode_block`] stays
 /// completely uninstrumented (its throughput is scorecard-gated); the
-/// counted mirror collects these per block:
+/// counted instantiation of the same loop collects these per block:
 ///
 /// * `table_lookups` — decode-table steps, one per halfword resolved in
 ///   a window (raw escapes included: the escape is a table entry).
@@ -135,6 +135,37 @@ pub struct DecodeCounters {
     pub refills: u64,
     /// Halfwords decoded by the scalar-mirror fallback.
     pub scalar_fallbacks: u64,
+}
+
+/// Receives the decode loop's path events. One generic loop serves both
+/// the hot path ([`Uncounted`]) and the profiler ([`DecodeCounters`]);
+/// monomorphization over the zero-sized no-op sink leaves
+/// [`FastDecoder::decode_block`] free of counter stores.
+trait CounterSink {
+    fn table_lookup(&mut self) {}
+    fn raw_escape(&mut self) {}
+    fn refill(&mut self) {}
+    fn scalar_fallback(&mut self) {}
+}
+
+/// The hot path's sink: every event is a no-op.
+struct Uncounted;
+
+impl CounterSink for Uncounted {}
+
+impl CounterSink for DecodeCounters {
+    fn table_lookup(&mut self) {
+        self.table_lookups += 1;
+    }
+    fn raw_escape(&mut self) {
+        self.raw_escapes += 1;
+    }
+    fn refill(&mut self) {
+        self.refills += 1;
+    }
+    fn scalar_fallback(&mut self) {
+        self.scalar_fallbacks += 1;
+    }
 }
 
 const KIND_SHIFT: u32 = 24;
@@ -310,21 +341,31 @@ impl DecodeTable {
 
     /// Decodes one half-word codeword at the cursor.
     #[inline]
-    fn decode(&self, cur: &mut Cursor<'_>) -> Result<u16, DecompressError> {
+    fn decode<S: CounterSink>(
+        &self,
+        cur: &mut Cursor<'_>,
+        sink: &mut S,
+    ) -> Result<u16, DecompressError> {
         cur.refill();
         if cur.remaining() < u64::from(RAW_LEN_BITS) {
             // Near the end of the stream a window peek could run past the
             // slice; mirror the scalar decoder read-for-read instead so
             // truncation positions stay identical.
+            sink.scalar_fallback();
             return self.decode_scalar(cur);
         }
-        self.decode_prefetched(cur)
+        self.decode_prefetched(cur, sink)
     }
 
     /// The table step, assuming the caller already refilled and checked that
     /// at least [`RAW_LEN_BITS`] bits remain (the longest codeword).
     #[inline]
-    fn decode_prefetched(&self, cur: &mut Cursor<'_>) -> Result<u16, DecompressError> {
+    fn decode_prefetched<S: CounterSink>(
+        &self,
+        cur: &mut Cursor<'_>,
+        sink: &mut S,
+    ) -> Result<u16, DecompressError> {
+        sink.table_lookup();
         let entry = self.entries[cur.peek(self.window_bits) as usize];
         match entry >> KIND_SHIFT {
             KIND_HIT => {
@@ -332,51 +373,7 @@ impl DecodeTable {
                 Ok(entry as u16)
             }
             KIND_RAW => {
-                cur.consume(u32::from(RAW_TAG_BITS));
-                let literal = cur.peek(16) as u16;
-                cur.consume(16);
-                Ok(literal)
-            }
-            KIND_BAD_RANK => Err(DecompressError::BadDictIndex {
-                high: self.high,
-                rank: entry as u16,
-                dict_len: self.dict_len,
-            }),
-            _ => self.decode_scalar(cur),
-        }
-    }
-
-    /// Counting mirror of [`DecodeTable::decode`]; same results, plus
-    /// [`DecodeCounters`] bookkeeping. Kept separate so the hot path
-    /// carries no counter stores.
-    fn decode_counted(
-        &self,
-        cur: &mut Cursor<'_>,
-        c: &mut DecodeCounters,
-    ) -> Result<u16, DecompressError> {
-        cur.refill();
-        if cur.remaining() < u64::from(RAW_LEN_BITS) {
-            c.scalar_fallbacks += 1;
-            return self.decode_scalar(cur);
-        }
-        self.decode_prefetched_counted(cur, c)
-    }
-
-    /// Counting mirror of [`DecodeTable::decode_prefetched`].
-    fn decode_prefetched_counted(
-        &self,
-        cur: &mut Cursor<'_>,
-        c: &mut DecodeCounters,
-    ) -> Result<u16, DecompressError> {
-        c.table_lookups += 1;
-        let entry = self.entries[cur.peek(self.window_bits) as usize];
-        match entry >> KIND_SHIFT {
-            KIND_HIT => {
-                cur.consume((entry >> LEN_SHIFT) & LEN_MASK);
-                Ok(entry as u16)
-            }
-            KIND_RAW => {
-                c.raw_escapes += 1;
+                sink.raw_escape();
                 cur.consume(u32::from(RAW_TAG_BITS));
                 let literal = cur.peek(16) as u16;
                 cur.consume(16);
@@ -388,7 +385,7 @@ impl DecodeTable {
                 dict_len: self.dict_len,
             }),
             _ => {
-                c.scalar_fallbacks += 1;
+                sink.scalar_fallback();
                 self.decode_scalar(cur)
             }
         }
@@ -590,6 +587,32 @@ impl FastDecoder {
         &self,
         bytes: &[u8],
     ) -> Result<[u32; BLOCK_INSNS as usize], DecompressError> {
+        self.decode_block_impl(bytes, &mut Uncounted)
+    }
+
+    /// [`FastDecoder::decode_block`] plus [`DecodeCounters`]: identical
+    /// results (success values and error values alike), with decode-path
+    /// bookkeeping the profiler folds into block profiles. Both run the
+    /// same generic loop; the `counted_decode_matches_uncounted` test pins
+    /// the results together.
+    pub fn decode_block_counted(
+        &self,
+        bytes: &[u8],
+    ) -> (
+        Result<[u32; BLOCK_INSNS as usize], DecompressError>,
+        DecodeCounters,
+    ) {
+        let mut c = DecodeCounters::default();
+        let result = self.decode_block_impl(bytes, &mut c);
+        (result, c)
+    }
+
+    #[inline]
+    fn decode_block_impl<S: CounterSink>(
+        &self,
+        bytes: &[u8],
+        sink: &mut S,
+    ) -> Result<[u32; BLOCK_INSNS as usize], DecompressError> {
         let mut cur = Cursor::new(bytes);
         let mut out = [0u32; BLOCK_INSNS as usize];
         if cur.read(1)? == 1 {
@@ -597,6 +620,7 @@ impl FastDecoder {
             // at least one word, so drain the accumulator between refills.
             let mut i = 0;
             while i < out.len() {
+                sink.refill();
                 cur.refill();
                 if cur.remaining() < 32 {
                     return Err(DecompressError::Truncated {
@@ -616,75 +640,17 @@ impl FastDecoder {
         // that much stream remains — so the common path pays one refill and
         // one bounds check per instruction instead of per halfword.
         for slot in &mut out {
+            sink.refill();
             cur.refill();
             let (high, low) = if cur.remaining() >= 2 * u64::from(RAW_LEN_BITS) {
                 (
-                    self.high.decode_prefetched(&mut cur)?,
-                    self.low.decode_prefetched(&mut cur)?,
-                )
-            } else {
-                (self.high.decode(&mut cur)?, self.low.decode(&mut cur)?)
-            };
-            *slot = (u32::from(high) << 16) | u32::from(low);
-        }
-        Ok(out)
-    }
-
-    /// [`FastDecoder::decode_block`] plus [`DecodeCounters`]: identical
-    /// results (success values and error values alike), with decode-path
-    /// bookkeeping the profiler folds into block profiles. A deliberate
-    /// structural mirror of the uncounted path — the hot loop must stay
-    /// store-free, so the two are kept textually separate and pinned
-    /// together by the `counted_decode_matches_uncounted` test.
-    pub fn decode_block_counted(
-        &self,
-        bytes: &[u8],
-    ) -> (
-        Result<[u32; BLOCK_INSNS as usize], DecompressError>,
-        DecodeCounters,
-    ) {
-        let mut c = DecodeCounters::default();
-        let result = self.decode_block_counted_inner(bytes, &mut c);
-        (result, c)
-    }
-
-    fn decode_block_counted_inner(
-        &self,
-        bytes: &[u8],
-        c: &mut DecodeCounters,
-    ) -> Result<[u32; BLOCK_INSNS as usize], DecompressError> {
-        let mut cur = Cursor::new(bytes);
-        let mut out = [0u32; BLOCK_INSNS as usize];
-        if cur.read(1)? == 1 {
-            let mut i = 0;
-            while i < out.len() {
-                c.refills += 1;
-                cur.refill();
-                if cur.remaining() < 32 {
-                    return Err(DecompressError::Truncated {
-                        at_bit: cur.consumed(),
-                    });
-                }
-                while cur.acc_bits >= 32 && i < out.len() {
-                    out[i] = cur.peek(32);
-                    cur.consume(32);
-                    i += 1;
-                }
-            }
-            return Ok(out);
-        }
-        for slot in &mut out {
-            c.refills += 1;
-            cur.refill();
-            let (high, low) = if cur.remaining() >= 2 * u64::from(RAW_LEN_BITS) {
-                (
-                    self.high.decode_prefetched_counted(&mut cur, c)?,
-                    self.low.decode_prefetched_counted(&mut cur, c)?,
+                    self.high.decode_prefetched(&mut cur, sink)?,
+                    self.low.decode_prefetched(&mut cur, sink)?,
                 )
             } else {
                 (
-                    self.high.decode_counted(&mut cur, c)?,
-                    self.low.decode_counted(&mut cur, c)?,
+                    self.high.decode(&mut cur, sink)?,
+                    self.low.decode(&mut cur, sink)?,
                 )
             };
             *slot = (u32::from(high) << 16) | u32::from(low);

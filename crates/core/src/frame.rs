@@ -49,7 +49,7 @@ use crate::image::{decode_block_bytes, encode_block, CompressionConfig};
 use crate::layout::{BLOCK_INSNS, GROUP_INSNS, HIGH_DICT_CAPACITY, LOW_DICT_CAPACITY};
 use crate::DecompressError;
 
-/// Magic bytes identifying a `.cpk` frame (distinct from the ROM's `CPK1`).
+/// Magic bytes identifying a `.cpk` frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"CPKF";
 /// The frame format version this build reads and writes.
 pub const FRAME_VERSION: u16 = 1;
@@ -586,13 +586,17 @@ pub struct FrameSummary {
     pub integrity: StreamIntegrity,
     /// Per-group compressed payload sizes, in group order.
     pub group_payload_lens: Vec<u32>,
+    /// The high-halfword dictionary the header carries.
+    pub high_dict: Dictionary,
+    /// The low-halfword dictionary the header carries.
+    pub low_dict: Dictionary,
 }
 
 /// Scans a frame's structure — header, chunk framing, end marker, both
 /// structural CRCs — **without decoding any payload**. This is the cheap
 /// half of frame validation (the service's profile endpoint uses it to
-/// report per-group compressed sizes); [`unpack_frame`] adds the per-group
-/// integrity and codec checks.
+/// report per-group compressed sizes, `cpack inspect` to summarize a
+/// frame); [`unpack_frame`] adds the per-group integrity and codec checks.
 ///
 /// # Errors
 ///
@@ -626,6 +630,8 @@ pub fn scan_frame(frame: &[u8]) -> Result<FrameSummary, FrameError> {
         content_size: header.content_size,
         integrity: header.integrity,
         group_payload_lens: lens,
+        high_dict: header.high,
+        low_dict: header.low,
     })
 }
 
@@ -1369,6 +1375,9 @@ mod tests {
             assert_eq!(summary.integrity, integrity);
             assert_eq!(summary.group_payload_lens.len(), 4);
             assert!(summary.group_payload_lens.iter().all(|&l| l > 0));
+            let image = CodePackImage::compress(&words, &CompressionConfig::default());
+            assert_eq!(&summary.high_dict, image.high_dict());
+            assert_eq!(&summary.low_dict, image.low_dict());
         }
         // The scan checks structure only: a flipped payload byte passes the
         // scan (the trailer CRC covers metadata, not payloads) but a

@@ -330,43 +330,11 @@ impl CodePackImage {
         })
     }
 
-    /// Decompresses one block with the table-driven fast backend.
-    ///
-    /// Byte-identical to [`Self::decompress_block`] on every input — equal
-    /// words on success, equal [`DecompressError`] values on corrupt or
-    /// truncated streams.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecompressError`] if `block` is out of range or the
-    /// stream is corrupt.
-    pub fn decode_block_fast(
-        &self,
-        block: u32,
-    ) -> Result<[u32; BLOCK_INSNS as usize], DecompressError> {
-        let offset = self.block_offset_via_index(block)? as usize;
-        self.fast_decoder().decode_block(&self.bytes[offset..])
-    }
-
-    /// Decompresses the whole image with the table-driven fast backend.
-    ///
-    /// Byte-identical to [`Self::decompress_all`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecompressError`] on corrupt input.
-    pub fn decompress_all_fast(&self) -> Result<Vec<u32>, DecompressError> {
-        let fast = self.fast_decoder();
-        let mut out = Vec::with_capacity(self.blocks.len() * BLOCK_INSNS as usize);
-        for b in 0..self.num_blocks() {
-            let offset = self.block_offset_via_index(b)? as usize;
-            out.extend_from_slice(&fast.decode_block(&self.bytes[offset..])?);
-        }
-        out.truncate(self.n_insns as usize);
-        Ok(out)
-    }
-
     /// Decompresses one block with the selected backend.
+    ///
+    /// The backends are byte-identical on every input: equal words on
+    /// success, equal [`DecompressError`] values on corrupt or truncated
+    /// streams.
     ///
     /// # Errors
     ///
@@ -379,7 +347,10 @@ impl CodePackImage {
     ) -> Result<[u32; BLOCK_INSNS as usize], DecompressError> {
         match backend {
             DecodeBackend::Scalar => self.decompress_block(block),
-            DecodeBackend::Fast => self.decode_block_fast(block),
+            DecodeBackend::Fast => {
+                let offset = self.block_offset_via_index(block)? as usize;
+                self.fast_decoder().decode_block(&self.bytes[offset..])
+            }
         }
     }
 
@@ -391,30 +362,16 @@ impl CodePackImage {
     pub fn decompress_all_with(&self, backend: DecodeBackend) -> Result<Vec<u32>, DecompressError> {
         match backend {
             DecodeBackend::Scalar => self.decompress_all(),
-            DecodeBackend::Fast => self.decompress_all_fast(),
-        }
-    }
-
-    /// Assembles an image from pre-validated parts (the ROM loader).
-    pub(crate) fn from_parts(
-        high_dict: Dictionary,
-        low_dict: Dictionary,
-        index: Vec<u32>,
-        bytes: Vec<u8>,
-        blocks: Vec<BlockInfo>,
-        n_insns: u32,
-        stats: CompositionStats,
-    ) -> CodePackImage {
-        CodePackImage {
-            high_dict,
-            low_dict,
-            index,
-            bytes,
-            blocks,
-            n_insns,
-            stats,
-            fast: OnceLock::new(),
-            decode_counts: OnceLock::new(),
+            DecodeBackend::Fast => {
+                let fast = self.fast_decoder();
+                let mut out = Vec::with_capacity(self.blocks.len() * BLOCK_INSNS as usize);
+                for b in 0..self.num_blocks() {
+                    let offset = self.block_offset_via_index(b)? as usize;
+                    out.extend_from_slice(&fast.decode_block(&self.bytes[offset..])?);
+                }
+                out.truncate(self.n_insns as usize);
+                Ok(out)
+            }
         }
     }
 
@@ -651,8 +608,8 @@ fn decode_block(
 }
 
 /// Decodes a block while recording the cumulative bit position after each
-/// instruction and which instructions raw-escaped — used by the ROM loader
-/// to rebuild decode-timing metadata from the stream alone.
+/// instruction and which instructions raw-escaped — the decoder's view of
+/// the per-block metadata the compressor records in [`BlockInfo`].
 #[allow(clippy::type_complexity)]
 pub(crate) fn decode_block_tracking(
     reader: &mut BitReader<'_>,
@@ -933,13 +890,15 @@ mod tests {
     fn fast_image_apis_match_scalar_apis() {
         let text = repetitive_text(200);
         let img = CodePackImage::compress(&text, &CompressionConfig::default());
-        assert_eq!(img.decompress_all_fast().unwrap(), text);
+        assert_eq!(
+            img.decompress_all_with(crate::DecodeBackend::Fast).unwrap(),
+            text
+        );
         assert_eq!(
             img.decompress_all_with(crate::DecodeBackend::Fast),
             img.decompress_all_with(crate::DecodeBackend::Scalar)
         );
         for b in 0..img.num_blocks() {
-            assert_eq!(img.decode_block_fast(b), img.decompress_block(b));
             assert_eq!(
                 img.decompress_block_with(b, crate::DecodeBackend::Fast),
                 img.decompress_block_with(b, crate::DecodeBackend::Scalar)
@@ -947,7 +906,7 @@ mod tests {
         }
         // Out-of-range blocks error identically too.
         assert_eq!(
-            img.decode_block_fast(img.num_blocks()),
+            img.decompress_block_with(img.num_blocks(), crate::DecodeBackend::Fast),
             img.decompress_block(img.num_blocks())
         );
     }
@@ -959,7 +918,10 @@ mod tests {
         let _ = img.fast_decoder();
         let corrupt = img.with_corrupted_bytes(0, 0xff).unwrap();
         for b in 0..corrupt.num_blocks() {
-            assert_eq!(corrupt.decode_block_fast(b), corrupt.decompress_block(b));
+            assert_eq!(
+                corrupt.decompress_block_with(b, crate::DecodeBackend::Fast),
+                corrupt.decompress_block(b)
+            );
         }
     }
 

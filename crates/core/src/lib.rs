@@ -58,7 +58,6 @@ pub mod frame;
 mod image;
 pub mod layout;
 mod optimize;
-mod rom;
 mod stats;
 
 pub use bits::{BitReader, BitWriter};
@@ -80,5 +79,4 @@ pub use image::{
 };
 pub use layout::{BLOCKS_PER_GROUP, BLOCK_INSNS, GROUP_INSNS};
 pub use optimize::{canonicalize_commutative, CanonicalizeStats};
-pub use rom::{parse_rom_parts, RomError, RomParts, ROM_MAGIC};
 pub use stats::CompositionStats;

@@ -30,7 +30,7 @@ fn assert_three_way(text: &[u32], image: &CodePackImage, context: &str) {
         .decompress_all_with(DecodeBackend::Scalar)
         .expect("scalar decodes a clean image");
     let fast = image
-        .decompress_all_fast()
+        .decompress_all_with(DecodeBackend::Fast)
         .expect("fast decodes a clean image");
     assert_eq!(scalar, text, "{context}: scalar != original");
     assert_eq!(fast, scalar, "{context}: fast != scalar");
@@ -48,7 +48,7 @@ fn assert_three_way(text: &[u32], image: &CodePackImage, context: &str) {
     // Block-by-block through the image APIs, not just whole-image.
     for b in 0..image.num_blocks() {
         assert_eq!(
-            image.decode_block_fast(b),
+            image.decompress_block_with(b, DecodeBackend::Fast),
             image.decompress_block_with(b, DecodeBackend::Scalar),
             "{context}: block {b} diverges"
         );
@@ -106,7 +106,10 @@ fn arb_config() -> Gen<CompressionConfig> {
 fn fast_roundtrips_any_text_any_config() {
     forall!(cases = 64, (arb_text(), arb_config()), |text, config| {
         let image = CodePackImage::compress(&text, &config);
-        assert_eq!(image.decompress_all_fast().unwrap(), text);
+        assert_eq!(
+            image.decompress_all_with(DecodeBackend::Fast).unwrap(),
+            text
+        );
         assert_eq!(
             image.decompress_all_with(DecodeBackend::Fast).unwrap(),
             image.decompress_all_with(DecodeBackend::Scalar).unwrap(),
@@ -154,7 +157,7 @@ fn corruption_yields_identical_results() {
                 .expect("offset in bounds");
             for b in 0..corrupt.num_blocks() {
                 assert_eq!(
-                    corrupt.decode_block_fast(b),
+                    corrupt.decompress_block_with(b, DecodeBackend::Fast),
                     corrupt.decompress_block_with(b, DecodeBackend::Scalar),
                     "block {b} after corrupting byte {at} to {value:#04x}"
                 );

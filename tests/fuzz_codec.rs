@@ -14,7 +14,8 @@
 
 use codepack::core::frame::{pack_frame, unpack_frame, FrameReader, PackOptions, UnpackOptions};
 use codepack::core::{
-    decode_block_bytes, CodePackImage, CompressionConfig, DecompressError, FastDecoder, BLOCK_INSNS,
+    decode_block_bytes, CodePackImage, CompressionConfig, DecodeBackend, DecompressError,
+    FastDecoder, BLOCK_INSNS,
 };
 use codepack::synth::{generate, BenchmarkProfile};
 use codepack_testkit::Rng;
@@ -111,7 +112,7 @@ fn mutated_images_never_panic_across_all_blocks() {
                 check_error(*e, bits, &format!("round {round} block {block}"));
             }
             assert_eq!(
-                corrupt.decode_block_fast(block),
+                corrupt.decompress_block_with(block, DecodeBackend::Fast),
                 scalar,
                 "round {round} block {block}: backends diverge on a corrupt image"
             );

@@ -1,7 +1,9 @@
 //! Property tests over the CodePack codec at the whole-image level.
 
 use codepack::core::frame::{pack_frame, unpack_frame, PackOptions, UnpackOptions};
-use codepack::core::{CodePackImage, CompressionConfig, BLOCKS_PER_GROUP, GROUP_INSNS};
+use codepack::core::{
+    CodePackImage, CompressionConfig, DecodeBackend, BLOCKS_PER_GROUP, GROUP_INSNS,
+};
 use codepack_testkit::forall;
 use codepack_testkit::prop::{gen, Gen};
 
@@ -82,7 +84,7 @@ fn every_length_to_four_groups_round_trips_both_backends() {
                     "scalar, length {n}"
                 );
                 assert_eq!(
-                    image.decompress_all_fast().unwrap(),
+                    image.decompress_all_with(DecodeBackend::Fast).unwrap(),
                     prefix,
                     "fast, length {n}"
                 );
@@ -158,35 +160,4 @@ fn block_metadata_invariants() {
         }
         assert_eq!(expected_offset as usize, image.compressed_bytes().len());
     });
-}
-
-/// ROM serialization round-trips for arbitrary texts; the loaded image
-/// behaves identically (same decode output, same per-block metadata).
-#[test]
-fn rom_round_trip() {
-    forall!(cases = 32, (arb_text()), |text| {
-        let image = CodePackImage::compress(&text, &CompressionConfig::default());
-        let loaded = CodePackImage::from_rom_bytes(&image.to_rom_bytes()).unwrap();
-        assert_eq!(loaded.decompress_all().unwrap(), text);
-        for b in 0..image.num_blocks() {
-            assert_eq!(
-                &loaded.block_info(b).cum_bits,
-                &image.block_info(b).cum_bits
-            );
-        }
-    });
-}
-
-/// Truncating a ROM anywhere yields an error, never a panic.
-#[test]
-fn rom_truncation_always_errors() {
-    forall!(
-        cases = 32,
-        (arb_text(), gen::unit_f64()),
-        |text, cut_frac| {
-            let rom = CodePackImage::compress(&text, &CompressionConfig::default()).to_rom_bytes();
-            let cut = ((rom.len() as f64) * cut_frac) as usize;
-            assert!(CodePackImage::from_rom_bytes(&rom[..cut.min(rom.len() - 1)]).is_err());
-        }
-    );
 }
