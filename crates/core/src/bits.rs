@@ -18,10 +18,13 @@ use crate::DecompressError;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct BitWriter {
+    /// Completed bytes.
     bytes: Vec<u8>,
-    /// Bits used in the final partial byte (0–7).
-    partial_bits: u32,
-    bits_written: u64,
+    /// Bits not yet in `bytes`, right-aligned; only the low `pending` bits
+    /// are meaningful.
+    acc: u64,
+    /// Bits held in `acc` (0–31 between calls; 0 once byte-aligned).
+    pending: u32,
 }
 
 impl BitWriter {
@@ -30,52 +33,72 @@ impl BitWriter {
         BitWriter::default()
     }
 
+    /// Creates an empty writer with room for `bytes` bytes of output.
+    pub(crate) fn with_capacity(bytes: usize) -> BitWriter {
+        BitWriter {
+            bytes: Vec::with_capacity(bytes),
+            ..BitWriter::default()
+        }
+    }
+
     /// Total bits written so far (including any partial byte).
     pub fn bit_len(&self) -> u64 {
-        self.bits_written
+        self.bytes.len() as u64 * 8 + u64::from(self.pending)
     }
 
     /// Appends the low `count` bits of `value`, most significant first.
     ///
     /// `count == 0` writes nothing; `count == 32` writes the whole word.
-    /// Both boundaries avoid shift-overflow by masking in `u64`: the naive
-    /// `value & ((1u32 << count) - 1)` wraps (UB-adjacent overflow in
-    /// release builds) at `count == 32`, and the byte-chunk loop never
-    /// shifts by more than 7.
+    /// Both boundaries avoid shift-overflow by masking in `u64`. The
+    /// accumulator holds at most 31 + 32 bits, so shifting it left by
+    /// `count` cannot lose a bit, and it spills one whole 32-bit word at a
+    /// time.
     ///
     /// # Panics
     ///
     /// Panics if `count > 32`.
+    #[inline]
     pub fn write(&mut self, value: u32, count: u32) {
         assert!(count <= 32, "cannot write more than 32 bits at once");
         // Mask wide (count ≤ 32 < 64), so count == 32 keeps every bit and
         // count == 0 clears them all without an out-of-range shift.
         let value = u64::from(value) & ((1u64 << count) - 1);
-        let mut left = count;
-        while left > 0 {
-            if self.partial_bits == 0 {
-                self.bytes.push(0);
-            }
-            let free = 8 - self.partial_bits; // 1..=8
-            let take = free.min(left);
-            let chunk = ((value >> (left - take)) & ((1u64 << take) - 1)) as u8;
-            let last = self.bytes.last_mut().expect("pushed above");
-            *last |= chunk << (free - take);
-            self.partial_bits = (self.partial_bits + take) % 8;
-            left -= take;
+        self.acc = (self.acc << count) | value;
+        self.pending += count;
+        if self.pending >= 32 {
+            self.pending -= 32;
+            let word = (self.acc >> self.pending) as u32;
+            self.bytes.extend_from_slice(&word.to_be_bytes());
+            self.acc &= (1 << self.pending) - 1;
         }
-        self.bits_written += u64::from(count);
     }
 
     /// Pads with zero bits to the next byte boundary; returns the number of
-    /// pad bits added (0–7).
+    /// pad bits added (0–7). Afterwards every bit is in a completed byte.
     pub fn align_to_byte(&mut self) -> u32 {
-        let pad = (8 - self.partial_bits) % 8;
-        if pad > 0 {
-            self.bits_written += u64::from(pad);
-            self.partial_bits = 0;
+        let pad = (8 - self.pending % 8) % 8;
+        self.write(0, pad);
+        while self.pending > 0 {
+            self.pending -= 8;
+            self.bytes.push((self.acc >> self.pending) as u8);
         }
+        self.acc = 0;
         pad
+    }
+
+    /// The completed bytes of a byte-aligned writer.
+    pub(crate) fn aligned_bytes(&self) -> &[u8] {
+        assert_eq!(self.pending, 0, "writer is not byte-aligned");
+        &self.bytes
+    }
+
+    /// Rewinds to the first `len` bytes, dropping everything written after
+    /// them. `len` must not exceed the completed bytes.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        assert!(len <= self.bytes.len(), "cannot rewind forwards");
+        self.bytes.truncate(len);
+        self.acc = 0;
+        self.pending = 0;
     }
 
     /// Finishes the stream (padding to a byte) and returns the bytes.
@@ -261,6 +284,80 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The byte-chunk writer this accumulator writer replaced, kept as a
+    /// test oracle: it pushes a byte as soon as a bit lands in it.
+    #[derive(Default)]
+    struct ByteChunkWriter {
+        bytes: Vec<u8>,
+        partial_bits: u32,
+        bits_written: u64,
+    }
+
+    impl ByteChunkWriter {
+        fn write(&mut self, value: u32, count: u32) {
+            let value = u64::from(value) & ((1u64 << count) - 1);
+            let mut left = count;
+            while left > 0 {
+                if self.partial_bits == 0 {
+                    self.bytes.push(0);
+                }
+                let free = 8 - self.partial_bits;
+                let take = free.min(left);
+                let chunk = ((value >> (left - take)) & ((1u64 << take) - 1)) as u8;
+                *self.bytes.last_mut().unwrap() |= chunk << (free - take);
+                self.partial_bits = (self.partial_bits + take) % 8;
+                left -= take;
+            }
+            self.bits_written += u64::from(count);
+        }
+
+        fn align_to_byte(&mut self) -> u32 {
+            let pad = (8 - self.partial_bits) % 8;
+            self.bits_written += u64::from(pad);
+            self.partial_bits = 0;
+            pad
+        }
+    }
+
+    /// Random `(value, count)` sequences with interleaved alignments (a
+    /// count of 33 stands for `align_to_byte`): bytes, `bit_len` and pad
+    /// counts equal the byte-chunk oracle's after every step.
+    #[test]
+    fn writer_matches_the_byte_chunk_oracle() {
+        use codepack_testkit::forall;
+        use codepack_testkit::prop::gen;
+        let op = gen::any_int::<u32>().zip(gen::ints(0u32..34));
+        forall!(cases = 256, (gen::vec_of(op, 0..300)), |ops| {
+            let mut w = BitWriter::new();
+            let mut oracle = ByteChunkWriter::default();
+            for &(value, count) in &ops {
+                if count == 33 {
+                    assert_eq!(w.align_to_byte(), oracle.align_to_byte());
+                } else {
+                    w.write(value, count);
+                    oracle.write(value, count);
+                }
+                assert_eq!(w.bit_len(), oracle.bits_written);
+            }
+            assert_eq!(w.into_bytes(), oracle.bytes);
+        });
+    }
+
+    #[test]
+    fn truncate_rewinds_to_a_byte_boundary() {
+        let mut w = BitWriter::new();
+        w.write(0xab, 8);
+        assert_eq!(w.align_to_byte(), 0);
+        assert_eq!(w.aligned_bytes(), &[0xab]);
+        w.write(0xffff_ffff, 32);
+        w.write(0x3ff, 10); // a spilled word and ten pending bits
+        w.truncate(1);
+        assert_eq!(w.bit_len(), 8);
+        assert_eq!(w.aligned_bytes(), &[0xab]);
+        w.write(0b1, 1);
+        assert_eq!(w.into_bytes(), vec![0xab, 0b1000_0000]);
     }
 
     /// Every `count` in 0..=32 at every bit offset, reading back exactly

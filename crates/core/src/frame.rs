@@ -43,10 +43,13 @@ use std::sync::OnceLock;
 
 use codepack_mem::{crc32, StreamIntegrity};
 
+use crate::bits::BitWriter;
 use crate::dict::Dictionary;
 use crate::fastdecode::{DecodeBackend, FastDecoder};
-use crate::image::{decode_block_bytes, encode_block, CompressionConfig};
-use crate::layout::{BLOCK_INSNS, GROUP_INSNS, HIGH_DICT_CAPACITY, LOW_DICT_CAPACITY};
+use crate::image::{build_dicts, decode_block_bytes, BlockEncoder, CompressionConfig};
+use crate::layout::{
+    BLOCKS_PER_GROUP, BLOCK_INSNS, GROUP_INSNS, HIGH_DICT_CAPACITY, LOW_DICT_CAPACITY,
+};
 use crate::DecompressError;
 
 /// Magic bytes identifying a `.cpk` frame.
@@ -259,27 +262,6 @@ where
         .collect()
 }
 
-/// Builds the two dictionaries exactly as [`CodePackImage::compress`] does
-/// (over the zero-padded text), so frame payloads are byte-identical to the
-/// image's compressed stream.
-///
-/// [`CodePackImage::compress`]: crate::CodePackImage::compress
-fn build_dicts(padded: &[u32], config: &CompressionConfig) -> (Dictionary, Dictionary) {
-    let high = Dictionary::build(
-        padded.iter().map(|&w| (w >> 16) as u16),
-        HIGH_DICT_CAPACITY,
-        config.dict_min_count,
-        false,
-    );
-    let low = Dictionary::build(
-        padded.iter().map(|&w| w as u16),
-        LOW_DICT_CAPACITY,
-        config.dict_min_count,
-        config.pin_low_zero,
-    );
-    (high, low)
-}
-
 /// One encoded group: the concatenated two-block payload and the first
 /// block's byte length within it.
 struct GroupChunk {
@@ -287,39 +269,36 @@ struct GroupChunk {
     first_len: u16,
 }
 
-fn encode_group(
-    words: &[u32],
-    high: &Dictionary,
-    low: &Dictionary,
-    config: &CompressionConfig,
-) -> GroupChunk {
+fn encode_group(words: &[u32], encoder: &BlockEncoder<'_>) -> GroupChunk {
     debug_assert_eq!(words.len(), GROUP_WORDS);
-    let mut payload = Vec::new();
+    // Room for two worst-case raw blocks: 16 words plus the mode flag each.
+    let mut w = BitWriter::with_capacity(GROUP_WORDS * 4 + BLOCKS_PER_GROUP as usize);
     let mut first_len = 0u16;
     for (i, block) in words.chunks_exact(BLOCK_WORDS).enumerate() {
-        let (bytes, _, _, _) = encode_block(block, high, low, config);
+        encoder.encode_block(block, &mut w);
         if i == 0 {
-            first_len = u16::try_from(bytes.len()).expect("block fits in u16 bytes");
+            first_len = u16::try_from(w.aligned_bytes().len()).expect("block fits in u16 bytes");
         }
-        payload.extend_from_slice(&bytes);
     }
-    GroupChunk { payload, first_len }
+    GroupChunk {
+        payload: w.into_bytes(),
+        first_len,
+    }
 }
 
-/// Computes a chunk's integrity trailer. Parity packs one bit per payload
-/// byte, LSB-first within each trailer byte; CRC-32 is the fault model's
-/// bitwise [`crc32`] over the payload, little-endian.
-fn integrity_trailer(integrity: StreamIntegrity, payload: &[u8]) -> Vec<u8> {
+/// Appends a chunk's integrity trailer to `out`. Parity packs one bit per
+/// payload byte, LSB-first within each trailer byte; CRC-32 is the fault
+/// model's [`crc32`] over the payload, little-endian.
+fn push_integrity_trailer(integrity: StreamIntegrity, payload: &[u8], out: &mut Vec<u8>) {
     match integrity {
-        StreamIntegrity::None => Vec::new(),
-        StreamIntegrity::Parity => {
-            let mut trailer = vec![0u8; payload.len().div_ceil(8)];
-            for (i, byte) in payload.iter().enumerate() {
-                trailer[i / 8] |= ((byte.count_ones() as u8) & 1) << (i % 8);
-            }
-            trailer
-        }
-        StreamIntegrity::Crc32 => crc32(payload).to_le_bytes().to_vec(),
+        StreamIntegrity::None => {}
+        StreamIntegrity::Parity => out.extend(payload.chunks(8).map(|bytes| {
+            bytes
+                .iter()
+                .enumerate()
+                .fold(0u8, |t, (i, b)| t | (((b.count_ones() as u8) & 1) << i))
+        })),
+        StreamIntegrity::Crc32 => out.extend_from_slice(&crc32(payload).to_le_bytes()),
     }
 }
 
@@ -363,14 +342,27 @@ pub fn pack_frame(text: &[u32], opts: &PackOptions) -> Vec<u8> {
     let mut padded = text.to_vec();
     padded.resize(padded_len, 0);
     let (high, low) = build_dicts(&padded, &opts.compression);
+    let encoder = BlockEncoder::new(&high, &low, &opts.compression);
 
     let groups: Vec<&[u32]> = padded.chunks_exact(GROUP_WORDS).collect();
     let chunks = run_jobs(groups.len(), opts.workers, |g| {
-        encode_group(groups[g], &high, &low, &opts.compression)
+        encode_group(groups[g], &encoder)
     });
 
     let content_size = (text.len() as u64) * 4;
-    let mut out = Vec::new();
+    // Exact size: the header with its dictionaries and CRC, each chunk's
+    // 6-byte prefix, payload and trailer, then the end marker and CRC.
+    let size = 24
+        + 2 * (usize::from(high.len()) + usize::from(low.len()))
+        + chunks
+            .iter()
+            .map(|c| {
+                let trailer = opts.integrity.overhead_bytes(c.payload.len() as u32);
+                6 + c.payload.len() + trailer as usize
+            })
+            .sum::<usize>()
+        + 8;
+    let mut out = Vec::with_capacity(size);
     out.extend_from_slice(&FRAME_MAGIC);
     out.extend_from_slice(&FRAME_VERSION.to_le_bytes());
     out.extend_from_slice(&integrity_flag(opts.integrity).to_le_bytes());
@@ -385,7 +377,7 @@ pub fn pack_frame(text: &[u32], opts: &PackOptions) -> Vec<u8> {
     }
     out.extend_from_slice(&crc32(&out).to_le_bytes());
 
-    let mut meta = Vec::new();
+    let mut meta = Vec::with_capacity(chunks.len() * 6 + 8);
     for chunk in &chunks {
         let payload_len = chunk.payload.len() as u32;
         out.extend_from_slice(&payload_len.to_le_bytes());
@@ -393,11 +385,12 @@ pub fn pack_frame(text: &[u32], opts: &PackOptions) -> Vec<u8> {
         meta.extend_from_slice(&payload_len.to_le_bytes());
         meta.extend_from_slice(&chunk.first_len.to_le_bytes());
         out.extend_from_slice(&chunk.payload);
-        out.extend_from_slice(&integrity_trailer(opts.integrity, &chunk.payload));
+        push_integrity_trailer(opts.integrity, &chunk.payload, &mut out);
     }
     meta.extend_from_slice(&content_size.to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes());
     out.extend_from_slice(&crc32(&meta).to_le_bytes());
+    debug_assert_eq!(out.len(), size);
     out
 }
 
@@ -556,7 +549,9 @@ impl GroupDecoder<'_> {
         trailer: &[u8],
         group: u32,
     ) -> Result<[u32; GROUP_WORDS], FrameError> {
-        if integrity_trailer(self.integrity, payload) != trailer {
+        let mut want = Vec::new();
+        push_integrity_trailer(self.integrity, payload, &mut want);
+        if want != trailer {
             return Err(FrameError::ChecksumMismatch {
                 region: FrameRegion::Group(group),
             });
@@ -1068,6 +1063,51 @@ mod tests {
             stream.extend_from_slice(payload);
         }
         assert_eq!(stream, image.compressed_bytes());
+    }
+
+    #[test]
+    fn groups_mixing_raw_and_compressed_blocks_round_trip() {
+        // Per group, one block falls back to raw and the other compresses,
+        // in both orders: `first_len` and the payloads still match the
+        // image, block for block.
+        let compressible = (0..16u32).map(|k| 0x2402_0000 | (k % 4));
+        let random = |g: u32| (0..16u32).map(move |i| (g * 16 + i).wrapping_mul(2654435761));
+        for raw_first in [false, true] {
+            let words: Vec<u32> = (0..4u32)
+                .flat_map(|g| {
+                    let (a, b): (Vec<u32>, Vec<u32>) = if raw_first {
+                        (random(g).collect(), compressible.clone().collect())
+                    } else {
+                        (compressible.clone().collect(), random(g).collect())
+                    };
+                    a.into_iter().chain(b)
+                })
+                .collect();
+            let frame = pack_frame(&words, &PackOptions::default());
+            let image = CodePackImage::compress(&words, &CompressionConfig::default());
+            let mut c = Cursor {
+                bytes: &frame,
+                pos: 0,
+            };
+            let header = parse_header(&mut c).unwrap();
+            let mut meta = Vec::new();
+            for g in 0..header.n_groups() {
+                let (payload, first_len, _) =
+                    scan_chunk(&mut c, header.integrity, &mut meta).unwrap();
+                let first = image.block_info(2 * g as u32);
+                let second = image.block_info(2 * g as u32 + 1);
+                assert_eq!(first.raw_mask == u16::MAX, raw_first);
+                assert_eq!(second.raw_mask == u16::MAX, !raw_first);
+                assert_eq!(first_len, first.byte_len, "group {g}");
+                let start = first.byte_offset as usize;
+                let end = second.byte_offset as usize + usize::from(second.byte_len);
+                assert_eq!(payload, &image.compressed_bytes()[start..end], "group {g}");
+            }
+            assert_eq!(
+                unpack_frame(&frame, &UnpackOptions::default()).unwrap(),
+                words
+            );
+        }
     }
 
     #[test]

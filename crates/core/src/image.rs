@@ -116,18 +116,7 @@ impl CodePackImage {
         let mut padded = text.to_vec();
         padded.resize(padded_len, 0);
 
-        let high_dict = Dictionary::build(
-            padded.iter().map(|&w| (w >> 16) as u16),
-            HIGH_DICT_CAPACITY,
-            config.dict_min_count,
-            false,
-        );
-        let low_dict = Dictionary::build(
-            padded.iter().map(|&w| w as u16),
-            LOW_DICT_CAPACITY,
-            config.dict_min_count,
-            config.pin_low_zero,
-        );
+        let (high_dict, low_dict) = build_dicts(&padded, config);
 
         let mut stats = CompositionStats {
             original_bytes: u64::from(n_insns) * 4,
@@ -135,12 +124,12 @@ impl CodePackImage {
             ..CompositionStats::default()
         };
 
-        let mut bytes = Vec::new();
+        let encoder = BlockEncoder::new(&high_dict, &low_dict, config);
+        let mut w = BitWriter::with_capacity(padded_len * 4);
         let mut blocks = Vec::with_capacity(padded_len / BLOCK_INSNS as usize);
         for chunk in padded.chunks_exact(BLOCK_INSNS as usize) {
-            let byte_offset = bytes.len() as u32;
-            let (block_bytes, cum_bits, raw_mask, delta) =
-                encode_block(chunk, &high_dict, &low_dict, config);
+            let byte_offset = w.aligned_bytes().len();
+            let (cum_bits, raw_mask, delta) = encoder.encode_block(chunk, &mut w);
             stats.compressed_tag_bits += delta.compressed_tag_bits;
             stats.dict_index_bits += delta.dict_index_bits;
             stats.raw_tag_bits += delta.raw_tag_bits;
@@ -149,19 +138,20 @@ impl CodePackImage {
             stats.raw_halfwords += delta.raw_halfwords;
             stats.raw_blocks += delta.raw_blocks;
             stats.blocks += 1;
-            let byte_len = u16::try_from(block_bytes.len()).expect("block fits in u16 bytes");
+            let byte_len = u16::try_from(w.aligned_bytes().len() - byte_offset)
+                .expect("block fits in u16 bytes");
             assert!(
                 u32::from(byte_len) <= SECOND_OFFSET_MASK,
                 "block of {byte_len} bytes exceeds the index second-offset field"
             );
-            bytes.extend_from_slice(&block_bytes);
             blocks.push(BlockInfo {
-                byte_offset,
+                byte_offset: byte_offset as u32,
                 byte_len,
                 cum_bits,
                 raw_mask,
             });
         }
+        let bytes = w.into_bytes();
 
         // Build the index table: one 32-bit entry per group of two blocks.
         let mut index = Vec::with_capacity(blocks.len() / BLOCKS_PER_GROUP as usize);
@@ -483,89 +473,150 @@ pub(crate) struct BlockDelta {
     raw_blocks: u64,
 }
 
+/// Builds the two dictionaries over the zero-padded text — the one
+/// dictionary construction behind both [`CodePackImage::compress`] and the
+/// frame packer, so frame payloads are byte-identical to the image's
+/// compressed stream.
+pub(crate) fn build_dicts(padded: &[u32], config: &CompressionConfig) -> (Dictionary, Dictionary) {
+    let high = Dictionary::build(
+        padded.iter().map(|&w| (w >> 16) as u16),
+        HIGH_DICT_CAPACITY,
+        config.dict_min_count,
+        false,
+    );
+    let low = Dictionary::build(
+        padded.iter().map(|&w| w as u16),
+        LOW_DICT_CAPACITY,
+        config.dict_min_count,
+        config.pin_low_zero,
+    );
+    (high, low)
+}
+
+/// Every rank's codeword, packed as `(tag‖index) << 16 | tag_bits << 8 |
+/// index_bits`. Ranks past the last class (none, for a dictionary built to
+/// its layout's capacity) have no entry and raw-escape.
+fn codeword_table(dict: &Dictionary, classes: &[CodewordClass; 5]) -> Vec<u32> {
+    dict.iter()
+        .map_while(|(rank, _)| {
+            class_for_rank(classes, rank).map(|c| {
+                let code = (u32::from(c.tag) << c.index_bits) | u32::from(rank - c.base);
+                (code << 16) | (u32::from(c.tag_bits) << 8) | u32::from(c.index_bits)
+            })
+        })
+        .collect()
+}
+
+/// Encodes blocks against one pair of dictionaries, with every rank's
+/// codeword looked up once up front. Shared with the frame packer, which
+/// encodes groups in parallel with one encoder.
+pub(crate) struct BlockEncoder<'a> {
+    high: &'a Dictionary,
+    low: &'a Dictionary,
+    high_codes: Vec<u32>,
+    low_codes: Vec<u32>,
+    raw_block_fallback: bool,
+}
+
+impl<'a> BlockEncoder<'a> {
+    pub(crate) fn new(
+        high: &'a Dictionary,
+        low: &'a Dictionary,
+        config: &CompressionConfig,
+    ) -> BlockEncoder<'a> {
+        BlockEncoder {
+            high,
+            low,
+            high_codes: codeword_table(high, &HIGH_CLASSES),
+            low_codes: codeword_table(low, &LOW_CLASSES),
+            raw_block_fallback: config.raw_block_fallback,
+        }
+    }
+
+    /// Appends one block to the byte-aligned writer `w`, leaving it
+    /// byte-aligned; returns (cumulative decode bits, raw-escape mask,
+    /// stats delta). The block's bytes are everything `w` gained.
+    pub(crate) fn encode_block(
+        &self,
+        words: &[u32],
+        w: &mut BitWriter,
+    ) -> ([u16; BLOCK_INSNS as usize + 1], u16, BlockDelta) {
+        debug_assert_eq!(words.len(), BLOCK_INSNS as usize);
+        let start = w.aligned_bytes().len();
+        let start_bits = w.bit_len();
+
+        let mut delta = BlockDelta::default();
+        let mut cum = [0u16; BLOCK_INSNS as usize + 1];
+        let mut raw_mask = 0u16;
+        // Mode flag: 0 = compressed block.
+        w.write(0, 1);
+        delta.compressed_tag_bits += 1;
+        for (j, &word) in words.iter().enumerate() {
+            let raw_before = delta.raw_halfwords;
+            encode_halfword(
+                w,
+                (word >> 16) as u16,
+                self.high,
+                &self.high_codes,
+                &mut delta,
+            );
+            encode_halfword(w, word as u16, self.low, &self.low_codes, &mut delta);
+            if delta.raw_halfwords > raw_before {
+                raw_mask |= 1 << j;
+            }
+            cum[j + 1] = (w.bit_len() - start_bits) as u16;
+        }
+
+        let expands = w.bit_len() - start_bits > u64::from(BLOCK_INSNS) * 32;
+        if self.raw_block_fallback && expands {
+            // Store the block non-compressed: rewind, then flag 1 and 16
+            // raw words.
+            w.truncate(start);
+            let mut delta = BlockDelta {
+                raw_tag_bits: 1,
+                raw_blocks: 1,
+                ..BlockDelta::default()
+            };
+            w.write(1, 1);
+            for (j, &word) in words.iter().enumerate() {
+                w.write(word, 32);
+                cum[j + 1] = (w.bit_len() - start_bits) as u16;
+                delta.raw_literal_bits += 32;
+            }
+            delta.pad_bits += u64::from(w.align_to_byte());
+            return (cum, u16::MAX, delta);
+        }
+
+        delta.pad_bits += u64::from(w.align_to_byte());
+        (cum, raw_mask, delta)
+    }
+}
+
+#[inline]
 fn encode_halfword(
     w: &mut BitWriter,
     value: u16,
     dict: &Dictionary,
-    classes: &[CodewordClass; 5],
+    codes: &[u32],
     delta: &mut BlockDelta,
 ) {
-    match dict
-        .rank_of(value)
-        .and_then(|r| class_for_rank(classes, r).map(|c| (r, c)))
-    {
-        Some((rank, class)) => {
-            w.write(u32::from(class.tag), u32::from(class.tag_bits));
-            w.write(u32::from(rank - class.base), u32::from(class.index_bits));
-            delta.compressed_tag_bits += u64::from(class.tag_bits);
-            delta.dict_index_bits += u64::from(class.index_bits);
+    match dict.rank_of(value).and_then(|r| codes.get(usize::from(r))) {
+        Some(&code) => {
+            let (tag_bits, index_bits) = ((code >> 8) & 0xff, code & 0xff);
+            w.write(code >> 16, tag_bits + index_bits);
+            delta.compressed_tag_bits += u64::from(tag_bits);
+            delta.dict_index_bits += u64::from(index_bits);
         }
         None => {
-            w.write(u32::from(RAW_TAG), u32::from(RAW_TAG_BITS));
-            w.write(u32::from(value), 16);
+            w.write(
+                (u32::from(RAW_TAG) << 16) | u32::from(value),
+                u32::from(RAW_TAG_BITS) + 16,
+            );
             delta.raw_tag_bits += u64::from(RAW_TAG_BITS);
             delta.raw_literal_bits += 16;
             delta.raw_halfwords += 1;
         }
     }
-}
-
-/// Encodes one block; returns (bytes, cumulative decode bits, raw-escape
-/// mask, stats delta). Shared with the frame packer, which encodes groups
-/// in parallel with the same dictionaries.
-pub(crate) fn encode_block(
-    words: &[u32],
-    high_dict: &Dictionary,
-    low_dict: &Dictionary,
-    config: &CompressionConfig,
-) -> (Vec<u8>, [u16; BLOCK_INSNS as usize + 1], u16, BlockDelta) {
-    debug_assert_eq!(words.len(), BLOCK_INSNS as usize);
-
-    let mut delta = BlockDelta::default();
-    let mut w = BitWriter::new();
-    let mut cum = [0u16; BLOCK_INSNS as usize + 1];
-    let mut raw_mask = 0u16;
-    // Mode flag: 0 = compressed block.
-    w.write(0, 1);
-    delta.compressed_tag_bits += 1;
-    for (j, &word) in words.iter().enumerate() {
-        let raw_before = delta.raw_halfwords;
-        encode_halfword(
-            &mut w,
-            (word >> 16) as u16,
-            high_dict,
-            &HIGH_CLASSES,
-            &mut delta,
-        );
-        encode_halfword(&mut w, word as u16, low_dict, &LOW_CLASSES, &mut delta);
-        if delta.raw_halfwords > raw_before {
-            raw_mask |= 1 << j;
-        }
-        cum[j + 1] = w.bit_len() as u16;
-    }
-
-    let expands = w.bit_len() > u64::from(BLOCK_INSNS) * 32;
-    if config.raw_block_fallback && expands {
-        // Store the block non-compressed: flag 1, then 16 raw words.
-        let mut delta = BlockDelta {
-            raw_tag_bits: 1,
-            raw_blocks: 1,
-            ..BlockDelta::default()
-        };
-        let mut w = BitWriter::new();
-        w.write(1, 1);
-        let mut cum = [0u16; BLOCK_INSNS as usize + 1];
-        for (j, &word) in words.iter().enumerate() {
-            w.write(word, 32);
-            cum[j + 1] = w.bit_len() as u16;
-            delta.raw_literal_bits += 32;
-        }
-        delta.pad_bits += u64::from(w.align_to_byte());
-        return (w.into_bytes(), cum, u16::MAX, delta);
-    }
-
-    delta.pad_bits += u64::from(w.align_to_byte());
-    (w.into_bytes(), cum, raw_mask, delta)
 }
 
 /// Decodes one half-word codeword; the `bool` is `true` when it was a raw
@@ -792,6 +843,53 @@ mod tests {
             .find(|&b| img.block_info(b).raw_mask == u16::MAX)
             .expect("incompressible text produces at least one raw block");
         let _ = raw_block;
+    }
+
+    /// One compressible block and one that falls back to raw, in both
+    /// orders, several groups over: the shared writer's rewind leaves each
+    /// block byte-identical to encoding it into a fresh writer.
+    #[test]
+    fn raw_fallback_rewinds_the_shared_writer() {
+        let compressible: Vec<u32> = (0..16).map(|k| 0x2402_0000 | (k % 4)).collect();
+        let random = |g: u32| -> Vec<u32> {
+            (0..16u32)
+                .map(|i| (g * 16 + i).wrapping_mul(2654435761).rotate_left(7))
+                .collect()
+        };
+        for raw_first in [false, true] {
+            let text: Vec<u32> = (0..4u32)
+                .flat_map(|g| {
+                    let (a, b) = if raw_first {
+                        (random(g), compressible.clone())
+                    } else {
+                        (compressible.clone(), random(g))
+                    };
+                    a.into_iter().chain(b)
+                })
+                .collect();
+            let config = CompressionConfig::default();
+            let img = CodePackImage::compress(&text, &config);
+            assert_eq!(img.decompress_all().unwrap(), text);
+
+            let encoder = BlockEncoder::new(img.high_dict(), img.low_dict(), &config);
+            let mut shared = BitWriter::new();
+            for (b, block) in text.chunks_exact(BLOCK_INSNS as usize).enumerate() {
+                let start = shared.aligned_bytes().len();
+                let (cum, mask, _) = encoder.encode_block(block, &mut shared);
+                let mut fresh = BitWriter::new();
+                let (fresh_cum, fresh_mask, _) = encoder.encode_block(block, &mut fresh);
+                assert_eq!((fresh_cum, fresh_mask), (cum, mask), "block {b}");
+                assert_eq!(&shared.aligned_bytes()[start..], fresh.aligned_bytes());
+
+                let info = img.block_info(b as u32);
+                let is_raw = (b % 2 == 0) == raw_first;
+                assert_eq!(info.raw_mask == u16::MAX, is_raw, "block {b}");
+                if is_raw {
+                    assert_eq!(info.byte_len, 65, "flag bit + 16 words, padded");
+                }
+            }
+            assert_eq!(shared.aligned_bytes(), img.compressed_bytes());
+        }
     }
 
     #[test]

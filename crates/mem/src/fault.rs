@@ -368,19 +368,33 @@ impl FaultStats {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), computed bitwise.
-/// This is the reference formulation, not a table-driven fast path — the
-/// simulator checksums a few dozen bytes per miss, and the workspace takes
-/// no dependency that would provide one.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+/// The reflected CRC-32 polynomial (IEEE 802.3).
+const CRC32_POLY: u32 = 0xedb8_8320;
+
+/// `CRC32_TABLE[b]` is the CRC register after shifting byte `b` through
+/// eight rounds of the bitwise division, built at compile time.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        table[b] = crc;
+        b += 1;
     }
+    table
+};
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), one table
+/// lookup per byte.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let crc = bytes.iter().fold(0xffff_ffffu32, |crc, &b| {
+        (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xff) as usize]
+    });
     !crc
 }
 
@@ -469,10 +483,38 @@ mod tests {
         assert_eq!(StreamIntegrity::Crc32.overhead_bytes(40), 4);
     }
 
+    /// Bit-at-a-time CRC-32: the textbook formulation the table-driven
+    /// [`crc32`] must match on every input.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_table_matches_the_bitwise_reference() {
+        use codepack_testkit::forall;
+        use codepack_testkit::prop::gen;
+        forall!(
+            cases = 128,
+            (gen::vec_of(gen::any_int::<u8>(), 0..4097)),
+            |bytes| {
+                assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+            }
+        );
+    }
+
     #[test]
     fn crc32_matches_the_ieee_reference_vector() {
         // The canonical check value: CRC-32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
         // Any single flipped bit changes the CRC.
         let base = crc32(b"codepack");

@@ -320,10 +320,17 @@ mod tests {
     fn measures_and_orders_cheap_vs_expensive() {
         fast_env();
         let mut b = Bench::new("testkit-selftest");
-        let cheap = b.bench("cheap", || 1u64 + 1).median_ns;
+        let cheap = b
+            .bench("cheap", || std::hint::black_box(1u64) + 1)
+            .median_ns;
+        // The bound and every term pass through `black_box`: without it the
+        // compiler folds the sum of squares into closed form and the
+        // "expensive" closure costs no more than the cheap one.
         let expensive = b
             .bench("expensive", || {
-                (0..5000u64).map(|i| i.wrapping_mul(i)).sum::<u64>()
+                (0..std::hint::black_box(5000u64))
+                    .map(|i| std::hint::black_box(i.wrapping_mul(i)))
+                    .sum::<u64>()
             })
             .median_ns;
         assert!(cheap >= 0.0 && expensive > cheap, "{cheap} vs {expensive}");
