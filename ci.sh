@@ -268,6 +268,20 @@ grep -q "truncated" "$OBS_TMP/trunc.err" \
     || { echo "truncated frame not reported as truncation"; exit 1; }
 echo "tier-2 frame smoke: worker-identical pack, byte-stable round trip, truncation rejected"
 
+echo "== tier-2: Figure 2 timeline gate =="
+# The paper's worked example through the shared decompressor miss-path
+# kernel: the compressed block must arrive 2,3,3,3,3,2 instructions per
+# 64-bit beat, and the critical instruction must be ready at t=25 on the
+# baseline decompressor and at t=14 on the optimized one.
+FIG2="$(cargo bench -q --offline -p codepack-bench --bench fig2_timeline)"
+grep -q "^  2,3,3,3,3,2 " <<< "$FIG2" \
+    || { echo "fig2: beat profile is not 2,3,3,3,3,2"; echo "$FIG2"; exit 1; }
+grep -A4 "^(b) CodePack baseline" <<< "$FIG2" | grep -q "critical instruction ready t=25 " \
+    || { echo "fig2: baseline critical instruction not at t=25"; echo "$FIG2"; exit 1; }
+grep -A4 "^(c) CodePack optimized" <<< "$FIG2" | grep -q "critical instruction ready t=14 " \
+    || { echo "fig2: optimized critical instruction not at t=14"; echo "$FIG2"; exit 1; }
+echo "tier-2 fig2: beats 2,3,3,3,3,2, critical t=25 baseline, t=14 optimized"
+
 echo "== tier-2: codec scorecard gate (decode + frame) =="
 # A fresh smoke run of the codec bench must show the fast backend beating
 # the scalar reference on every profile, and the checked-in full-mode

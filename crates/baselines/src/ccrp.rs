@@ -16,10 +16,10 @@
 //! notably worse than CodePack's ~60% — and a serial, history-based decode.
 
 use codepack_core::{
-    BitReader, BitWriter, DecompressError, FetchEngine, FetchStats, IndexCacheModel, MissService,
-    MissSource,
+    decode_schedule, BitReader, BitWriter, DecompressError, FetchEngine, FetchStats,
+    IndexCacheModel, IndexLookup, MissService, MissSource,
 };
-use codepack_mem::{FullyAssociativeCache, MemoryTiming};
+use codepack_mem::MemoryTiming;
 use std::fmt;
 use std::sync::Arc;
 
@@ -294,14 +294,17 @@ impl Default for CcrpConfig {
 }
 
 /// The CCRP miss-service engine: LAT lookup, burst read of the compressed
-/// line, serial Huffman decode. No prefetch buffer — CCRP decompresses
-/// exactly the missed line.
+/// line, serial Huffman decode — the decompressor kernel's
+/// [`IndexLookup`] and [`decode_schedule`]. No prefetch buffer — CCRP
+/// decompresses exactly the missed line.
 pub struct CcrpFetch {
     image: Arc<CcrpImage>,
     timing: MemoryTiming,
     config: CcrpConfig,
     text_base: u32,
-    lat_cache: Option<FullyAssociativeCache>,
+    lat: IndexLookup,
+    /// Decode-ready cycle of each instruction of the line being serviced.
+    ready: Vec<u64>,
     stats: FetchStats,
 }
 
@@ -314,19 +317,14 @@ impl CcrpFetch {
         config: CcrpConfig,
         text_base: u32,
     ) -> CcrpFetch {
-        let lat_cache = match config.lat_cache {
-            IndexCacheModel::Cached {
-                lines,
-                entries_per_line,
-            } => Some(FullyAssociativeCache::new(lines, entries_per_line)),
-            _ => None,
-        };
+        let insns = (image.line_bytes() / 4) as usize;
         CcrpFetch {
             image,
             timing,
             config,
             text_base,
-            lat_cache,
+            lat: IndexLookup::new(config.lat_cache, LAT_ENTRY_BYTES),
+            ready: vec![0; insns],
             stats: FetchStats::default(),
         }
     }
@@ -348,62 +346,32 @@ impl FetchEngine for CcrpFetch {
 
         // LAT lookup (one entry maps LINES_PER_LAT_ENTRY lines).
         let lat_key = line / LINES_PER_LAT_ENTRY;
-        let t_lat = match self.config.lat_cache {
-            IndexCacheModel::Perfect => {
-                self.stats.index_hits += 1;
-                0
-            }
-            IndexCacheModel::None => {
-                self.stats.index_misses += 1;
-                self.stats.memory_beats += u64::from(self.timing.beats_for(LAT_ENTRY_BYTES));
-                self.timing.burst_read_cycles(LAT_ENTRY_BYTES)
-            }
-            IndexCacheModel::Cached { .. } => {
-                let cache = self.lat_cache.as_mut().expect("built in new()");
-                if cache.access(lat_key) {
-                    self.stats.index_hits += 1;
-                    0
-                } else {
-                    self.stats.index_misses += 1;
-                    self.stats.memory_beats += u64::from(self.timing.beats_for(LAT_ENTRY_BYTES));
-                    self.timing.burst_read_cycles(LAT_ENTRY_BYTES)
-                }
-            }
-        };
+        let (t_lat, hit) = self.lat.lookup(lat_key, &self.timing, &mut self.stats);
 
         // Burst the compressed line; decode serially, overlapped.
         let info = self.image.line_info(line);
         self.stats.memory_beats += u64::from(self.timing.beats_for(u32::from(info.byte_len)));
         let t_start = t_lat + u64::from(self.config.request_overhead);
-        let bus = self.timing.bus_bytes();
-        let first = u64::from(self.timing.first_access_cycles());
-        let rate = u64::from(self.timing.next_access_cycles());
         // One instruction takes 4 symbol decodes.
         let cycles_per_insn = (4 / self.config.symbols_per_cycle.max(1)).max(1) as u64;
+        decode_schedule(
+            &self.timing,
+            t_start,
+            &info.cum_bits,
+            1,
+            cycles_per_insn,
+            &mut self.ready,
+        );
 
-        let insns = (line_bytes / 4) as usize;
-        let mut ready = vec![0u64; insns];
-        for j in 0..insns {
-            let bytes_needed = u32::from(info.cum_bits[j + 1]).div_ceil(8);
-            let beat = bytes_needed.div_ceil(bus).max(1) - 1;
-            let arrival = t_start + first + u64::from(beat) * rate;
-            let serial = if j > 0 {
-                ready[j - 1] + cycles_per_insn
-            } else {
-                0
-            };
-            ready[j] = (arrival + cycles_per_insn).max(serial);
-        }
-
-        let critical_ready = ready[within];
-        let line_fill_complete = ready[insns - 1];
+        let critical_ready = self.ready[within];
+        let line_fill_complete = self.ready[self.ready.len() - 1];
         self.stats.total_critical_cycles += critical_ready;
 
         MissService {
             critical_ready,
             line_fill_complete,
             source: MissSource::Decompressor,
-            index_hit: Some(t_lat == 0),
+            index_hit: Some(hit),
             index_cycles: t_lat,
             machine_check: false,
         }

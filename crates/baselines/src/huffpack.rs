@@ -12,10 +12,10 @@
 //! (half CodePack's baseline rate, an eighth of its optimized rate).
 
 use codepack_core::{
-    BitReader, BitWriter, DecompressError, Dictionary, FetchEngine, FetchStats, IndexCacheModel,
-    MissService, MissSource, BLOCK_INSNS,
+    decode_schedule, BitReader, BitWriter, DecompressError, Dictionary, FetchEngine, FetchStats,
+    IndexCacheModel, IndexLookup, MissService, MissSource, BLOCK_INSNS,
 };
-use codepack_mem::{FullyAssociativeCache, MemoryTiming};
+use codepack_mem::MemoryTiming;
 use std::fmt;
 use std::sync::Arc;
 
@@ -314,14 +314,14 @@ impl Default for HuffPackConfig {
 }
 
 /// HuffPack's miss-service engine: identical structure to the CodePack
-/// decompressor (index cache, burst overlap, output buffer) but with the
-/// slower bit-serial decode.
+/// decompressor — the same [`IndexLookup`] and [`decode_schedule`] kernel,
+/// plus the output buffer — but with the slower bit-serial decode.
 pub struct HuffPackFetch {
     image: Arc<HuffPackImage>,
     timing: MemoryTiming,
     config: HuffPackConfig,
     text_base: u32,
-    index_cache: Option<FullyAssociativeCache>,
+    index: IndexLookup,
     buffer_block: Option<u32>,
     stats: FetchStats,
 }
@@ -334,19 +334,13 @@ impl HuffPackFetch {
         config: HuffPackConfig,
         text_base: u32,
     ) -> HuffPackFetch {
-        let index_cache = match config.index_cache {
-            IndexCacheModel::Cached {
-                lines,
-                entries_per_line,
-            } => Some(FullyAssociativeCache::new(lines, entries_per_line)),
-            _ => None,
-        };
         HuffPackFetch {
             image,
             timing,
             config,
             text_base,
-            index_cache,
+            // One 4-byte entry per 32-instruction group, as in CodePack.
+            index: IndexLookup::new(config.index_cache, 4),
             buffer_block: None,
             stats: FetchStats::default(),
         }
@@ -377,47 +371,22 @@ impl FetchEngine for HuffPackFetch {
         }
 
         let group = insn / 32;
-        let t_index = match self.config.index_cache {
-            IndexCacheModel::Perfect => 0,
-            IndexCacheModel::None => {
-                self.stats.index_misses += 1;
-                self.stats.memory_beats += u64::from(self.timing.beats_for(4));
-                self.timing.burst_read_cycles(4)
-            }
-            IndexCacheModel::Cached { .. } => {
-                let cache = self.index_cache.as_mut().expect("built in new()");
-                if cache.access(group) {
-                    self.stats.index_hits += 1;
-                    0
-                } else {
-                    self.stats.index_misses += 1;
-                    self.stats.memory_beats += u64::from(self.timing.beats_for(4));
-                    self.timing.burst_read_cycles(4)
-                }
-            }
-        };
+        let (t_index, hit) = self.index.lookup(group, &self.timing, &mut self.stats);
 
         let info = self.image.block_info(block);
         self.stats.memory_beats += u64::from(self.timing.beats_for(u32::from(info.byte_len)));
         let t_start = t_index + u64::from(self.config.request_overhead);
-        let bus = self.timing.bus_bytes();
-        let first = u64::from(self.timing.first_access_cycles());
-        let rate = u64::from(self.timing.next_access_cycles());
         // Two half-word symbols per instruction, decoded serially.
         let cycles_per_insn = (2 / self.config.halfwords_per_cycle.max(1)).max(1) as u64;
-
         let mut ready = [0u64; BLOCK_INSNS as usize];
-        for j in 0..BLOCK_INSNS as usize {
-            let bytes_needed = u32::from(info.cum_bits[j + 1]).div_ceil(8);
-            let beat = bytes_needed.div_ceil(bus).max(1) - 1;
-            let arrival = t_start + first + u64::from(beat) * rate;
-            let serial = if j > 0 {
-                ready[j - 1] + cycles_per_insn
-            } else {
-                0
-            };
-            ready[j] = (arrival + cycles_per_insn).max(serial);
-        }
+        decode_schedule(
+            &self.timing,
+            t_start,
+            &info.cum_bits,
+            1,
+            cycles_per_insn,
+            &mut ready,
+        );
 
         let critical_ready = ready[within];
         let line_fill_complete = ready[line_start + insns_per_line - 1];
@@ -427,7 +396,7 @@ impl FetchEngine for HuffPackFetch {
             critical_ready,
             line_fill_complete,
             source: MissSource::Decompressor,
-            index_hit: Some(t_index == 0),
+            index_hit: Some(hit),
             index_cycles: t_index,
             machine_check: false,
         }

@@ -21,6 +21,15 @@
 //!   bit-serial decode,
 //! * [`HuffmanCode`] — the length-limited canonical Huffman substrate.
 //!
+//! The hardware decompressor models ([`CcrpFetch`], [`HuffPackFetch`]) have
+//! no miss-timing code of their own: they call the same kernel as
+//! `codepack_core::CodePackFetch` — [`codepack_core::IndexLookup`] for the
+//! index (or line-address-table) probe and [`codepack_core::decode_schedule`]
+//! for decode overlapped with the burst read — with one decoder lane and
+//! their serial cycles per instruction. [`SoftwareDecompFetch`] keeps a flat
+//! cost model of its own: a software handler does not overlap decode with
+//! the burst.
+//!
 //! ```
 //! use codepack_baselines::{CcrpImage, InsnDictImage, estimate_thumb};
 //! let text: Vec<u32> = (0..256).map(|i| 0x2402_0000 | (i % 7)).collect();

@@ -10,7 +10,8 @@
 use std::sync::Arc;
 
 use codepack_core::{
-    CodePackFetch, CodePackImage, CompressionConfig, DecompressorConfig, FetchEngine, NativeFetch,
+    beat_of_bits, CodePackFetch, CodePackImage, CompressionConfig, DecompressorConfig, FetchEngine,
+    NativeFetch,
 };
 use codepack_mem::MemoryTiming;
 
@@ -45,10 +46,8 @@ fn main() {
         info.byte_len
     );
     let mut per_beat = [0u32; 8];
-    for j in 0..16 {
-        let bytes = u32::from(info.cum_bits[j + 1]).div_ceil(8);
-        let beat = bytes.div_ceil(8).max(1) - 1;
-        per_beat[beat as usize] += 1;
+    for &bits in &info.cum_bits[1..] {
+        per_beat[beat_of_bits(&timing, bits) as usize] += 1;
     }
     let beats: Vec<String> = per_beat
         .iter()

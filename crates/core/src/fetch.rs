@@ -9,6 +9,12 @@
 //!   (Figure 2-b), with the optimizations of Figure 2-c (index cache,
 //!   wider decode bandwidth) as configuration.
 //!
+//! The decompressor miss path itself is one kernel that every decompressor
+//! model calls: [`IndexLookup`] (the index-table access through an optional
+//! index cache) and [`decode_schedule`] (decode overlapped with the burst
+//! read at a fixed rate). `codepack-baselines`' HuffPack and CCRP engines
+//! use the same two pieces with their own entry sizes and decode rates.
+//!
 //! The model reproduces the paper's worked example exactly: with a 10/2-cycle
 //! 64-bit memory, an index fetch followed by codes arriving 2–3 instructions
 //! per beat and a 1-instruction/cycle decoder makes the critical (5th)
@@ -266,6 +272,130 @@ pub trait FetchEngine {
     fn name(&self) -> &'static str;
 }
 
+/// The index-table access of one decompressor miss: an optional cache of
+/// index entries, probed in parallel with the L1 so a hit is free, backed
+/// by a main-memory burst read of one `entry_bytes` entry on a miss.
+/// CodePack's index table, HuffPack's, and CCRP's line address table are
+/// all this lookup with different keys and entry sizes.
+///
+/// ```
+/// use codepack_core::{FetchStats, IndexCacheModel, IndexLookup};
+/// use codepack_mem::MemoryTiming;
+/// let timing = MemoryTiming::default();
+/// let mut stats = FetchStats::default();
+/// let mut index = IndexLookup::new(IndexCacheModel::Cached { lines: 1, entries_per_line: 1 }, 4);
+/// assert_eq!(index.lookup(7, &timing, &mut stats), (10, false));
+/// assert_eq!(index.lookup(7, &timing, &mut stats), (0, true));
+/// assert_eq!((stats.index_hits, stats.index_misses, stats.memory_beats), (1, 1, 1));
+/// ```
+#[derive(Clone, Debug)]
+pub struct IndexLookup {
+    model: IndexCacheModel,
+    entry_bytes: u32,
+    cache: Option<FullyAssociativeCache>,
+}
+
+impl IndexLookup {
+    /// Creates the lookup for `model` over entries of `entry_bytes` bytes.
+    pub fn new(model: IndexCacheModel, entry_bytes: u32) -> IndexLookup {
+        let cache = match model {
+            IndexCacheModel::Cached {
+                lines,
+                entries_per_line,
+            } => Some(FullyAssociativeCache::new(lines, entries_per_line)),
+            IndexCacheModel::None | IndexCacheModel::Perfect => None,
+        };
+        IndexLookup {
+            model,
+            entry_bytes,
+            cache,
+        }
+    }
+
+    /// Looks up entry `key`, returning the cycles spent reaching it (zero
+    /// on a hit) and whether it hit. Counts exactly one of
+    /// `stats.index_hits` / `stats.index_misses` — the same outcome it
+    /// returns — and a miss's bus beats in `stats.memory_beats`.
+    pub fn lookup(
+        &mut self,
+        key: u32,
+        timing: &MemoryTiming,
+        stats: &mut FetchStats,
+    ) -> (u64, bool) {
+        let hit = match &mut self.cache {
+            Some(cache) => cache.access(key),
+            None => self.model == IndexCacheModel::Perfect,
+        };
+        if hit {
+            stats.index_hits += 1;
+            return (0, true);
+        }
+        stats.index_misses += 1;
+        let (beats, cycles) = timing.burst_read_profile(self.entry_bytes);
+        stats.memory_beats += u64::from(beats);
+        (cycles, false)
+    }
+}
+
+/// 0-based bus beat of a burst read that carries the last of its first
+/// `bits` bits (a zero-bit prefix rides the first beat).
+///
+/// ```
+/// use codepack_core::beat_of_bits;
+/// use codepack_mem::MemoryTiming;
+/// let bus64 = MemoryTiming::default();
+/// assert_eq!(beat_of_bits(&bus64, 64), 0);
+/// assert_eq!(beat_of_bits(&bus64, 65), 1);
+/// ```
+pub fn beat_of_bits(timing: &MemoryTiming, bits: u16) -> u32 {
+    u32::from(bits)
+        .div_ceil(8)
+        .div_ceil(timing.bus_bytes())
+        .max(1)
+        - 1
+}
+
+/// Decode schedule of one compressed unit whose burst read is issued at
+/// cycle `t_start`: writes into `ready[j]` the cycle at which instruction
+/// `j` is decoded,
+///
+/// `ready[j] = max(arrival(cum_bits[j+1]) + c, ready[j - lanes] + c)`,
+///
+/// where `arrival(bits)` completes the bus beat carrying the instruction's
+/// last bit ([`beat_of_bits`]), `c` is `cycles_per_insn`, and `lanes`
+/// decoders work in parallel (`lanes == 0` leaves only the bus bound).
+/// CodePack decodes with `lanes = decode_rate, c = 1`; the bit-serial
+/// Huffman models with `lanes = 1, c = cycles per instruction`.
+///
+/// # Panics
+///
+/// Panics unless `cum_bits` holds one more entry than `ready`.
+pub fn decode_schedule(
+    timing: &MemoryTiming,
+    t_start: u64,
+    cum_bits: &[u16],
+    lanes: usize,
+    cycles_per_insn: u64,
+    ready: &mut [u64],
+) {
+    assert_eq!(
+        cum_bits.len(),
+        ready.len() + 1,
+        "one cumulative bit count per instruction, plus the start"
+    );
+    let first = t_start + u64::from(timing.first_access_cycles());
+    let rate = u64::from(timing.next_access_cycles());
+    for j in 0..ready.len() {
+        let arrival = first + u64::from(beat_of_bits(timing, cum_bits[j + 1])) * rate;
+        let capacity_bound = if lanes > 0 && j >= lanes {
+            ready[j - lanes] + cycles_per_insn
+        } else {
+            0
+        };
+        ready[j] = (arrival + cycles_per_insn).max(capacity_bound);
+    }
+}
+
 /// Native-code fetch: critical-word-first burst read (paper Figure 2-a).
 #[derive(Clone, Debug)]
 pub struct NativeFetch {
@@ -346,7 +476,7 @@ pub struct CodePackFetch {
     timing: MemoryTiming,
     config: DecompressorConfig,
     text_base: u32,
-    index_cache: Option<FullyAssociativeCache>,
+    index: IndexLookup,
     /// Block number currently held by the 16-instruction output buffer.
     buffer_block: Option<u32>,
     stats: FetchStats,
@@ -366,19 +496,12 @@ impl CodePackFetch {
         config: DecompressorConfig,
         text_base: u32,
     ) -> CodePackFetch {
-        let index_cache = match config.index_cache {
-            IndexCacheModel::Cached {
-                lines,
-                entries_per_line,
-            } => Some(FullyAssociativeCache::new(lines, entries_per_line)),
-            _ => None,
-        };
         CodePackFetch {
             image,
             timing,
             config,
             text_base,
-            index_cache,
+            index: IndexLookup::new(config.index_cache, INDEX_ENTRY_BYTES),
             buffer_block: None,
             stats: FetchStats::default(),
             protection: None,
@@ -396,11 +519,6 @@ impl CodePackFetch {
     /// The decompressor configuration in effect.
     pub fn config(&self) -> &DecompressorConfig {
         &self.config
-    }
-
-    /// Index-cache statistics (probes/hits), if an index cache is present.
-    pub fn index_cache_stats(&self) -> Option<codepack_mem::CacheStats> {
-        self.index_cache.as_ref().map(FullyAssociativeCache::stats)
     }
 
     /// Emits the injection event plus its outcome event for one fault.
@@ -449,33 +567,6 @@ impl CodePackFetch {
             }
             DecodeBackend::Fast => self.image.fast_decoder().decode_block(&bytes).is_ok(),
         }
-    }
-
-    /// Cycle at which each instruction of `block` is decoded, given the
-    /// code burst starts at `t_start`. Implements
-    /// `ready[j] = max(arrival[j] + 1, ready[j - rate] + 1)` where
-    /// `arrival[j]` is the completion of the bus beat carrying the last bit
-    /// of instruction `j`.
-    fn decode_schedule(&self, block: u32, t_start: u64) -> [u64; BLOCK_INSNS as usize] {
-        let info = self.image.block_info(block);
-        let bus = self.timing.bus_bytes();
-        let first = u64::from(self.timing.first_access_cycles());
-        let rate = u64::from(self.timing.next_access_cycles());
-        let decode_rate = self.config.decode_rate as usize;
-
-        let mut ready = [0u64; BLOCK_INSNS as usize];
-        for j in 0..BLOCK_INSNS as usize {
-            let bytes_needed = u32::from(info.cum_bits[j + 1]).div_ceil(8);
-            let beat = bytes_needed.div_ceil(bus).max(1) - 1; // 0-based beat index
-            let arrival = t_start + first + u64::from(beat) * rate;
-            let capacity_bound = if j >= decode_rate {
-                ready[j - decode_rate] + 1
-            } else {
-                0
-            };
-            ready[j] = (arrival + 1).max(capacity_bound);
-        }
-        ready
     }
 
     /// Folds one decompressor-path service into the armed block profile,
@@ -576,26 +667,8 @@ impl CodePackFetch {
 
         // Index lookup, probed in parallel with the L1: a hit is free.
         let group = self.image.group_of_insn(insn);
-        let (mut t_index, index_hit) = match self.config.index_cache {
-            IndexCacheModel::Perfect => (0, Some(true)),
-            IndexCacheModel::None => {
-                let (beats, cycles) = self.timing.burst_read_profile(INDEX_ENTRY_BYTES);
-                self.stats.memory_beats += u64::from(beats);
-                (cycles, Some(false))
-            }
-            IndexCacheModel::Cached { .. } => {
-                let cache = self.index_cache.as_mut().expect("cache built in new()");
-                if cache.access(group) {
-                    self.stats.index_hits += 1;
-                    (0, Some(true))
-                } else {
-                    self.stats.index_misses += 1;
-                    let (beats, cycles) = self.timing.burst_read_profile(INDEX_ENTRY_BYTES);
-                    self.stats.memory_beats += u64::from(beats);
-                    (cycles, Some(false))
-                }
-            }
-        };
+        let (mut t_index, hit) = self.index.lookup(group, &self.timing, &mut self.stats);
+        let index_hit = Some(hit);
 
         // Index-SRAM fault domain: a struck entry is caught by parity (odd
         // flips only) and cured by re-reading the entry from main memory,
@@ -643,16 +716,14 @@ impl CodePackFetch {
         }
 
         if obs.enabled() {
-            if let Some(hit) = index_hit {
-                obs.emit(
-                    now + t_index,
-                    EventKind::IndexLookup {
-                        group,
-                        hit,
-                        cycles: t_index,
-                    },
-                );
-            }
+            obs.emit(
+                now + t_index,
+                EventKind::IndexLookup {
+                    group,
+                    hit,
+                    cycles: t_index,
+                },
+            );
         }
 
         let info = self.image.block_info(block).clone();
@@ -797,7 +868,15 @@ impl CodePackFetch {
         // integrity check completing.
         self.stats.memory_beats += u64::from(self.timing.beats_for(payload + overhead));
         let t_start = t_index + u64::from(self.config.request_overhead) + t_extra + stream_extra;
-        let ready = self.decode_schedule(block, t_start);
+        let mut ready = [0u64; BLOCK_INSNS as usize];
+        decode_schedule(
+            &self.timing,
+            t_start,
+            &info.cum_bits,
+            self.config.decode_rate as usize,
+            1,
+            &mut ready,
+        );
         let gate = match self.protection {
             Some(p) if p.integrity.stream != StreamIntegrity::None => t_start + protected_read,
             _ => 0,

@@ -38,8 +38,6 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 use codepack_mem::{crc32, StreamIntegrity};
 
@@ -47,6 +45,7 @@ use crate::bits::BitWriter;
 use crate::dict::Dictionary;
 use crate::fastdecode::{DecodeBackend, FastDecoder};
 use crate::image::{build_dicts, decode_block_bytes, BlockEncoder, CompressionConfig};
+use crate::jobs::run_jobs;
 use crate::layout::{
     BLOCKS_PER_GROUP, BLOCK_INSNS, GROUP_INSNS, HIGH_DICT_CAPACITY, LOW_DICT_CAPACITY,
 };
@@ -230,38 +229,6 @@ impl Default for UnpackOptions {
     }
 }
 
-/// Runs `n` index jobs on `workers` threads with a work-stealing counter —
-/// the matrix runner's deterministic pool shape: results land in
-/// per-index [`OnceLock`] slots and are collected in index order, so the
-/// outcome is identical at any worker count.
-fn run_jobs<T, F>(n: usize, workers: usize, job: F) -> Vec<T>
-where
-    T: Send + Sync,
-    F: Fn(usize) -> T + Sync,
-{
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(&job).collect();
-    }
-    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let done = job(i);
-                let _ = slots[i].set(done);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("worker filled every slot"))
-        .collect()
-}
-
 /// One encoded group: the concatenated two-block payload and the first
 /// block's byte length within it.
 struct GroupChunk {
@@ -401,6 +368,10 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn new(bytes: &'a [u8]) -> Cursor<'a> {
+        Cursor { bytes, pos: 0 }
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
         let end = self.pos.checked_add(n).ok_or(FrameError::Truncated {
             at: self.pos as u64,
@@ -501,13 +472,12 @@ fn parse_header(c: &mut Cursor<'_>) -> Result<Header, FrameError> {
     })
 }
 
-/// Reads one chunk's framing (`payload_len`, `first_len`, payload, trailer)
-/// and appends its metadata to `meta`.
-fn scan_chunk<'a>(
-    c: &mut Cursor<'a>,
-    integrity: StreamIntegrity,
-    meta: &mut Vec<u8>,
-) -> Result<(&'a [u8], u16, &'a [u8]), FrameError> {
+/// Reads and checks one chunk prefix — `payload_len` (non-zero, within the
+/// format maximum), then `first_len` (within the payload) — and appends it
+/// to `meta`, the skeleton the trailer CRC covers. Every reader of chunks
+/// — [`scan_frame`], [`unpack_frame`], [`FrameReader`] — goes through
+/// here, so they reject a bad prefix with the same error.
+fn chunk_prefix(c: &mut Cursor<'_>, meta: &mut Vec<u8>) -> Result<(u32, u16), FrameError> {
     let payload_len = c.u32()?;
     if payload_len == 0 {
         return Err(FrameError::Inconsistent("zero-length group chunk"));
@@ -525,9 +495,47 @@ fn scan_chunk<'a>(
     }
     meta.extend_from_slice(&payload_len.to_le_bytes());
     meta.extend_from_slice(&first_len.to_le_bytes());
-    let payload = c.take(payload_len as usize)?;
-    let trailer = c.take(integrity.overhead_bytes(payload_len) as usize)?;
-    Ok((payload, first_len, trailer))
+    Ok((payload_len, first_len))
+}
+
+/// Reads and checks the end of a frame: the zero end-of-frame marker, then
+/// the structural trailer CRC over the chunk prefixes in `meta` followed
+/// by `content_size`.
+fn frame_end(c: &mut Cursor<'_>, meta: &mut Vec<u8>, content_size: u64) -> Result<(), FrameError> {
+    if c.u32()? != 0 {
+        return Err(FrameError::Inconsistent("missing end-of-frame marker"));
+    }
+    meta.extend_from_slice(&content_size.to_le_bytes());
+    if crc32(meta) != c.u32()? {
+        return Err(FrameError::ChecksumMismatch {
+            region: FrameRegion::Trailer,
+        });
+    }
+    Ok(())
+}
+
+/// One group chunk of an in-memory frame: payload, `first_len`, trailer.
+type Chunk<'a> = (&'a [u8], u16, &'a [u8]);
+
+/// Walks an in-memory frame's whole skeleton — header, every chunk's
+/// framing, the end of the frame, no trailing bytes — without decoding
+/// any payload.
+fn walk_frame(frame: &[u8]) -> Result<(Header, Vec<Chunk<'_>>), FrameError> {
+    let mut c = Cursor::new(frame);
+    let header = parse_header(&mut c)?;
+    let mut meta = Vec::new();
+    let mut chunks = Vec::with_capacity(header.n_groups());
+    for _ in 0..header.n_groups() {
+        let (payload_len, first_len) = chunk_prefix(&mut c, &mut meta)?;
+        let payload = c.take(payload_len as usize)?;
+        let trailer = c.take(header.integrity.overhead_bytes(payload_len) as usize)?;
+        chunks.push((payload, first_len, trailer));
+    }
+    frame_end(&mut c, &mut meta, header.content_size)?;
+    if c.pos != frame.len() {
+        return Err(FrameError::Inconsistent("trailing bytes after frame"));
+    }
+    Ok((header, chunks))
 }
 
 /// Shared state of the group-decode workers: integrity mode, dictionaries,
@@ -598,33 +606,11 @@ pub struct FrameSummary {
 /// Any [`FrameError`] the frame skeleton can produce; payload corruption
 /// that only the trailer or codec would catch is *not* detected here.
 pub fn scan_frame(frame: &[u8]) -> Result<FrameSummary, FrameError> {
-    let mut c = Cursor {
-        bytes: frame,
-        pos: 0,
-    };
-    let header = parse_header(&mut c)?;
-    let mut meta = Vec::new();
-    let mut lens = Vec::with_capacity(header.n_groups());
-    for _ in 0..header.n_groups() {
-        let (payload, _, _) = scan_chunk(&mut c, header.integrity, &mut meta)?;
-        lens.push(payload.len() as u32);
-    }
-    if c.u32()? != 0 {
-        return Err(FrameError::Inconsistent("missing end-of-frame marker"));
-    }
-    meta.extend_from_slice(&header.content_size.to_le_bytes());
-    if crc32(&meta) != c.u32()? {
-        return Err(FrameError::ChecksumMismatch {
-            region: FrameRegion::Trailer,
-        });
-    }
-    if c.pos != frame.len() {
-        return Err(FrameError::Inconsistent("trailing bytes after frame"));
-    }
+    let (header, chunks) = walk_frame(frame)?;
     Ok(FrameSummary {
         content_size: header.content_size,
         integrity: header.integrity,
-        group_payload_lens: lens,
+        group_payload_lens: chunks.iter().map(|(p, _, _)| p.len() as u32).collect(),
         high_dict: header.high,
         low_dict: header.low,
     })
@@ -643,31 +629,8 @@ pub fn scan_frame(frame: &[u8]) -> Result<FrameSummary, FrameError> {
 /// Returns a [`FrameError`] for any malformed, truncated, or corrupt input;
 /// never panics, whatever the bytes.
 pub fn unpack_frame(frame: &[u8], opts: &UnpackOptions) -> Result<Vec<u32>, FrameError> {
-    let mut c = Cursor {
-        bytes: frame,
-        pos: 0,
-    };
-    let header = parse_header(&mut c)?;
-    let n_groups = header.n_groups();
-
-    let mut meta = Vec::new();
-    let mut chunks = Vec::with_capacity(n_groups);
-    for _ in 0..n_groups {
-        chunks.push(scan_chunk(&mut c, header.integrity, &mut meta)?);
-    }
-    if c.u32()? != 0 {
-        return Err(FrameError::Inconsistent("missing end-of-frame marker"));
-    }
-    meta.extend_from_slice(&header.content_size.to_le_bytes());
-    let stored = c.u32()?;
-    if crc32(&meta) != stored {
-        return Err(FrameError::ChecksumMismatch {
-            region: FrameRegion::Trailer,
-        });
-    }
-    if c.pos != frame.len() {
-        return Err(FrameError::Inconsistent("trailing bytes after frame"));
-    }
+    let (header, chunks) = walk_frame(frame)?;
+    let n_groups = chunks.len();
 
     let fast = match opts.backend {
         DecodeBackend::Fast => Some(FastDecoder::new(&header.high, &header.low)),
@@ -847,11 +810,7 @@ impl<R: Read> FrameReader<R> {
             * (usize::from(high_len.min(HIGH_DICT_CAPACITY))
                 + usize::from(low_len.min(LOW_DICT_CAPACITY)));
         r.fill(&mut head, dict_bytes + 4)?;
-        let mut c = Cursor {
-            bytes: &head,
-            pos: 0,
-        };
-        r.header = parse_header(&mut c)?;
+        r.header = parse_header(&mut Cursor::new(&head))?;
         r.remaining = r.header.content_size;
         r.fast = match backend {
             DecodeBackend::Fast => Some(FastDecoder::new(&r.header.high, &r.header.low)),
@@ -894,68 +853,41 @@ impl<R: Read> FrameReader<R> {
         if self.groups_read == self.header.n_groups() {
             let mut tail = Vec::new();
             self.fill(&mut tail, 8)?;
-            if u32::from_le_bytes(tail[..4].try_into().expect("4 bytes")) != 0 {
-                return Err(FrameError::Inconsistent("missing end-of-frame marker"));
-            }
-            self.meta
-                .extend_from_slice(&self.header.content_size.to_le_bytes());
-            let stored = u32::from_le_bytes(tail[4..].try_into().expect("4 bytes"));
-            if crc32(&self.meta) != stored {
-                return Err(FrameError::ChecksumMismatch {
-                    region: FrameRegion::Trailer,
-                });
-            }
+            frame_end(
+                &mut Cursor::new(&tail),
+                &mut self.meta,
+                self.header.content_size,
+            )?;
             self.finished = true;
             return Ok(());
         }
         let mut chunk = Vec::new();
         self.fill(&mut chunk, 6)?;
-        {
-            let mut c = Cursor {
-                bytes: &chunk,
-                pos: 0,
-            };
-            let payload_len = c.u32()?;
-            if payload_len == 0 {
-                return Err(FrameError::Inconsistent("zero-length group chunk"));
-            }
-            if payload_len > MAX_GROUP_PAYLOAD {
-                return Err(FrameError::Inconsistent(
-                    "group chunk larger than the format maximum",
-                ));
-            }
-            let first_len = c.u16()?;
-            if u32::from(first_len) > payload_len {
-                return Err(FrameError::Inconsistent(
-                    "first-block length exceeds the group payload",
-                ));
-            }
-            self.meta.extend_from_slice(&chunk);
-            let trailer_len = self.header.integrity.overhead_bytes(payload_len) as usize;
-            let payload_len = payload_len as usize;
-            let mut body = Vec::new();
-            self.fill(&mut body, payload_len + trailer_len)?;
-            let decoder = GroupDecoder {
-                integrity: self.header.integrity,
-                high: &self.header.high,
-                low: &self.header.low,
-                fast: self.fast.as_ref(),
-            };
-            let words = decoder.decode(
-                &body[..payload_len],
-                first_len,
-                &body[payload_len..],
-                self.groups_read as u32,
-            )?;
-            let take = (self.remaining).min(GROUP_WORDS as u64 * 4) as usize;
-            self.pending.clear();
-            self.pending_pos = 0;
-            for w in &words {
-                self.pending.extend_from_slice(&w.to_le_bytes());
-            }
-            self.pending.truncate(take);
-            self.remaining -= take as u64;
+        let (payload_len, first_len) = chunk_prefix(&mut Cursor::new(&chunk), &mut self.meta)?;
+        let trailer_len = self.header.integrity.overhead_bytes(payload_len) as usize;
+        let payload_len = payload_len as usize;
+        let mut body = Vec::new();
+        self.fill(&mut body, payload_len + trailer_len)?;
+        let decoder = GroupDecoder {
+            integrity: self.header.integrity,
+            high: &self.header.high,
+            low: &self.header.low,
+            fast: self.fast.as_ref(),
+        };
+        let words = decoder.decode(
+            &body[..payload_len],
+            first_len,
+            &body[payload_len..],
+            self.groups_read as u32,
+        )?;
+        let take = (self.remaining).min(GROUP_WORDS as u64 * 4) as usize;
+        self.pending.clear();
+        self.pending_pos = 0;
+        for w in &words {
+            self.pending.extend_from_slice(&w.to_le_bytes());
         }
+        self.pending.truncate(take);
+        self.remaining -= take as u64;
         self.groups_read += 1;
         Ok(())
     }
@@ -1051,17 +983,8 @@ mod tests {
         let words = text(333);
         let frame = pack_frame(&words, &PackOptions::default());
         let image = CodePackImage::compress(&words, &CompressionConfig::default());
-        let mut c = Cursor {
-            bytes: &frame,
-            pos: 0,
-        };
-        let header = parse_header(&mut c).unwrap();
-        let mut stream = Vec::new();
-        let mut meta = Vec::new();
-        for _ in 0..header.n_groups() {
-            let (payload, _, _) = scan_chunk(&mut c, header.integrity, &mut meta).unwrap();
-            stream.extend_from_slice(payload);
-        }
+        let (_, chunks) = walk_frame(&frame).unwrap();
+        let stream: Vec<u8> = chunks.iter().flat_map(|(p, _, _)| p.to_vec()).collect();
         assert_eq!(stream, image.compressed_bytes());
     }
 
@@ -1085,15 +1008,8 @@ mod tests {
                 .collect();
             let frame = pack_frame(&words, &PackOptions::default());
             let image = CodePackImage::compress(&words, &CompressionConfig::default());
-            let mut c = Cursor {
-                bytes: &frame,
-                pos: 0,
-            };
-            let header = parse_header(&mut c).unwrap();
-            let mut meta = Vec::new();
-            for g in 0..header.n_groups() {
-                let (payload, first_len, _) =
-                    scan_chunk(&mut c, header.integrity, &mut meta).unwrap();
+            let (_, chunks) = walk_frame(&frame).unwrap();
+            for (g, &(payload, first_len, _)) in chunks.iter().enumerate() {
                 let first = image.block_info(2 * g as u32);
                 let second = image.block_info(2 * g as u32 + 1);
                 assert_eq!(first.raw_mask == u16::MAX, raw_first);

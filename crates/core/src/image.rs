@@ -619,14 +619,13 @@ fn encode_halfword(
     }
 }
 
-/// Decodes one half-word codeword; the `bool` is `true` when it was a raw
-/// escape rather than a dictionary hit.
+/// Decodes one half-word codeword: a dictionary hit or a raw escape.
 fn decode_halfword(
     reader: &mut BitReader<'_>,
     dict: &Dictionary,
     classes: &[CodewordClass; 5],
     high: bool,
-) -> Result<(u16, bool), DecompressError> {
+) -> Result<u16, DecompressError> {
     let first_two = reader.read(2)? as u8;
     let (tag, tag_bits) = if first_two <= 0b01 {
         (first_two, 2u8)
@@ -634,65 +633,38 @@ fn decode_halfword(
         ((first_two << 1) | reader.read(1)? as u8, 3u8)
     };
     if tag == RAW_TAG {
-        return Ok((reader.read(16)? as u16, true));
+        return Ok(reader.read(16)? as u16);
     }
     let class = classes
         .iter()
         .find(|c| c.tag == tag && c.tag_bits == tag_bits)
         .expect("every non-raw tag pattern maps to a class");
     let rank = class.base + reader.read(u32::from(class.index_bits))? as u16;
-    dict.value(rank)
-        .map(|v| (v, false))
-        .ok_or(DecompressError::BadDictIndex {
-            high,
-            rank,
-            dict_len: dict.len(),
-        })
+    dict.value(rank).ok_or(DecompressError::BadDictIndex {
+        high,
+        rank,
+        dict_len: dict.len(),
+    })
 }
 
+/// The scalar reference decoder of one block.
 fn decode_block(
     reader: &mut BitReader<'_>,
     high_dict: &Dictionary,
     low_dict: &Dictionary,
 ) -> Result<[u32; BLOCK_INSNS as usize], DecompressError> {
-    decode_block_tracking(reader, high_dict, low_dict).map(|(words, _, _)| words)
-}
-
-/// Decodes a block while recording the cumulative bit position after each
-/// instruction and which instructions raw-escaped — the decoder's view of
-/// the per-block metadata the compressor records in [`BlockInfo`].
-#[allow(clippy::type_complexity)]
-pub(crate) fn decode_block_tracking(
-    reader: &mut BitReader<'_>,
-    high_dict: &Dictionary,
-    low_dict: &Dictionary,
-) -> Result<
-    (
-        [u32; BLOCK_INSNS as usize],
-        [u16; BLOCK_INSNS as usize + 1],
-        u16,
-    ),
-    DecompressError,
-> {
-    let start = reader.bit_pos();
     let mut out = [0u32; BLOCK_INSNS as usize];
-    let mut cum = [0u16; BLOCK_INSNS as usize + 1];
     let raw = reader.read(1)? == 1;
-    let mut raw_mask = if raw { u16::MAX } else { 0 };
-    for (j, slot) in out.iter_mut().enumerate() {
-        if raw {
-            *slot = reader.read(32)?;
+    for slot in &mut out {
+        *slot = if raw {
+            reader.read(32)?
         } else {
-            let (high, high_raw) = decode_halfword(reader, high_dict, &HIGH_CLASSES, true)?;
-            let (low, low_raw) = decode_halfword(reader, low_dict, &LOW_CLASSES, false)?;
-            if high_raw || low_raw {
-                raw_mask |= 1 << j;
-            }
-            *slot = (u32::from(high) << 16) | u32::from(low);
-        }
-        cum[j + 1] = (reader.bit_pos() - start) as u16;
+            let high = decode_halfword(reader, high_dict, &HIGH_CLASSES, true)?;
+            let low = decode_halfword(reader, low_dict, &LOW_CLASSES, false)?;
+            (u32::from(high) << 16) | u32::from(low)
+        };
     }
-    Ok((out, cum, raw_mask))
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -812,21 +784,67 @@ mod tests {
         }
     }
 
+    /// Test-side oracle of one block's timing metadata: the cumulative
+    /// decode bits and the raw-escape mask, recomputed from the source
+    /// words, the dictionaries' ranks and the layout's codeword classes —
+    /// not from the encoder's codeword table, nor from a decoder.
+    fn block_meta_oracle(
+        words: &[u32],
+        img: &CodePackImage,
+    ) -> ([u16; BLOCK_INSNS as usize + 1], u16) {
+        let halfword_bits = |value: u16, dict: &Dictionary, classes| match dict
+            .rank_of(value)
+            .and_then(|r| class_for_rank(classes, r))
+        {
+            Some(c) => (u16::from(c.len_bits()), false),
+            None => (u16::from(crate::layout::RAW_LEN_BITS), true),
+        };
+        let mut cum = [0u16; BLOCK_INSNS as usize + 1];
+        let mut raw_mask = 0u16;
+        let mut bits = 1; // the compressed-block mode flag
+        for (j, &w) in words.iter().enumerate() {
+            let (high_bits, high_raw) =
+                halfword_bits((w >> 16) as u16, img.high_dict(), &HIGH_CLASSES);
+            let (low_bits, low_raw) = halfword_bits(w as u16, img.low_dict(), &LOW_CLASSES);
+            bits += high_bits + low_bits;
+            if high_raw || low_raw {
+                raw_mask |= 1 << j;
+            }
+            cum[j + 1] = bits;
+        }
+        // The default configuration stores a block that would expand as a
+        // mode flag plus 16 literal words.
+        if bits > 16 * 32 {
+            for (j, c) in cum.iter_mut().enumerate() {
+                *c = if j == 0 { 0 } else { 1 + 32 * j as u16 };
+            }
+            raw_mask = u16::MAX;
+        }
+        (cum, raw_mask)
+    }
+
     #[test]
     fn raw_mask_marks_escaped_instructions() {
-        let text = repetitive_text(64);
-        let img = CodePackImage::compress(&text, &CompressionConfig::default());
-        for b in 0..img.num_blocks() {
-            let info = img.block_info(b);
-            let offset = img.block_offset_via_index(b).unwrap() as usize;
-            let mut reader = BitReader::new(&img.compressed_bytes()[offset..]);
-            let (_, _, decoded_mask) =
-                decode_block_tracking(&mut reader, img.high_dict(), img.low_dict()).unwrap();
-            assert_eq!(
-                info.raw_mask, decoded_mask,
-                "compressor and decoder disagree on raw escapes in block {b}"
-            );
+        let incompressible = (0..64u32).map(|i| i.wrapping_mul(2654435761).rotate_left(7));
+        let mixed: Vec<u32> = repetitive_text(64)
+            .into_iter()
+            .chain(incompressible.clone())
+            .chain(repetitive_text(40))
+            .collect();
+        for text in [repetitive_text(64), incompressible.collect(), mixed] {
+            let img = CodePackImage::compress(&text, &CompressionConfig::default());
+            let mut padded = text.clone();
+            padded.resize(img.num_blocks() as usize * BLOCK_INSNS as usize, 0);
+            for (b, words) in padded.chunks_exact(BLOCK_INSNS as usize).enumerate() {
+                let info = img.block_info(b as u32);
+                assert_eq!(
+                    (info.cum_bits, info.raw_mask),
+                    block_meta_oracle(words, &img),
+                    "compressor and oracle disagree on block {b}"
+                );
+            }
         }
+        let img = CodePackImage::compress(&repetitive_text(64), &CompressionConfig::default());
         // The rare-constant slot (insn 15 of each block) raw-escapes its
         // unique low half-word; the common immediates never do.
         assert_ne!(img.block_info(0).raw_mask & (1 << 15), 0);

@@ -34,7 +34,10 @@
 //! * [`NativeFetch`] / [`CodePackFetch`] — cycle-level models of the L1
 //!   I-miss service path (Figure 2), including the paper's optimizations:
 //!   the fully-associative index cache and wider decompressors
-//!   ([`DecompressorConfig`]),
+//!   ([`DecompressorConfig`]); [`IndexLookup`] and [`decode_schedule`] are
+//!   the miss-path kernel every decompressor model shares,
+//! * [`run_jobs`] — the deterministic job pool behind parallel frame
+//!   pack/unpack and the experiment matrix,
 //! * [`BitReader`] / [`BitWriter`] — the bit-granular stream layer.
 //!
 //! ```
@@ -56,6 +59,7 @@ mod fastdecode;
 mod fetch;
 pub mod frame;
 mod image;
+mod jobs;
 pub mod layout;
 mod optimize;
 mod stats;
@@ -67,8 +71,8 @@ pub use fastdecode::{DecodeBackend, DecodeCounters, FastDecoder, LOOKUP_BITS};
 #[doc(hidden)]
 pub use fastdecode::{TableEntry, TableEntryKind, TableView};
 pub use fetch::{
-    CodePackFetch, DecompressorConfig, FetchEngine, FetchStats, IndexCacheModel, MissService,
-    MissSource, NativeFetch,
+    beat_of_bits, decode_schedule, CodePackFetch, DecompressorConfig, FetchEngine, FetchStats,
+    IndexCacheModel, IndexLookup, MissService, MissSource, NativeFetch,
 };
 pub use frame::{
     pack_frame, scan_frame, unpack_frame, FrameError, FrameReader, FrameRegion, FrameSummary,
@@ -77,6 +81,7 @@ pub use frame::{
 pub use image::{
     decode_block_bytes, BlockInfo, CodePackImage, CompressionConfig, CorruptionOutOfRange,
 };
+pub use jobs::run_jobs;
 pub use layout::{BLOCKS_PER_GROUP, BLOCK_INSNS, GROUP_INSNS};
 pub use optimize::{canonicalize_commutative, CanonicalizeStats};
 pub use stats::CompositionStats;

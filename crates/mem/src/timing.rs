@@ -157,16 +157,6 @@ impl MemoryTiming {
         })
     }
 
-    /// Extra cycles an integrity-protected burst read of `payload` bytes
-    /// costs over the unprotected read: the additional beats carrying
-    /// `overhead` check bytes, plus `check_cycles` of checker latency after
-    /// the data lands. Zero overhead and zero check cycles cost nothing —
-    /// the armed-but-free case stays cycle-identical to unprotected.
-    pub fn integrity_read_cycles(&self, payload: u32, overhead: u32, check_cycles: u32) -> u64 {
-        self.burst_read_cycles(payload + overhead) - self.burst_read_cycles(payload)
-            + u64::from(check_cycles)
-    }
-
     /// Timing of a native cache-line fill using critical-word-first: the
     /// beat containing `critical_offset` is fetched first, so the missed
     /// word is ready after the first access (paper §4, Figure 2-a).
@@ -250,18 +240,6 @@ mod tests {
         assert_eq!(m.next_access_cycles(), 16);
         let m = MemoryTiming::new(1, 1, 8).scaled_latency(0.25);
         assert_eq!(m.next_access_cycles(), 1, "clamped to one cycle");
-    }
-
-    #[test]
-    fn integrity_overhead_prices_extra_beats_plus_check() {
-        let m = MemoryTiming::default();
-        // 32-byte payload + 4-byte CRC: 36 bytes is 5 beats vs 4 → one
-        // extra 2-cycle beat, plus 2 checker cycles.
-        assert_eq!(m.integrity_read_cycles(32, 4, 2), 4);
-        // Overhead that fits in the last partial beat costs only the check.
-        assert_eq!(m.integrity_read_cycles(30, 2, 1), 1);
-        // No overhead, no check: free.
-        assert_eq!(m.integrity_read_cycles(32, 0, 0), 0);
     }
 
     #[test]

@@ -43,10 +43,9 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use codepack_core::{CodePackImage, CompressionConfig};
+use codepack_core::{run_jobs, CodePackImage, CompressionConfig};
 use codepack_isa::Program;
 use codepack_obs::{names, BlockProfile, MetricsRegistry, Obs};
 use codepack_synth::{generate, BenchmarkProfile};
@@ -653,10 +652,11 @@ impl MatrixOptions {
 ///
 /// Programs are generated and compressed once per profile (all CodePack
 /// cells of a profile share the image when their compression options
-/// agree), then the cells run independently: a shared atomic counter
-/// hands out job indices, each worker writes its completion into the
-/// lock-free slot for that index, and the report keeps enumeration
-/// order. One worker or sixteen, the report is identical.
+/// agree), then the cells run independently on the workspace's job pool
+/// ([`codepack_core::run_jobs`]): a shared atomic counter hands out job
+/// indices, each worker writes its completion into the lock-free slot for
+/// that index, and the report keeps enumeration order. One worker or
+/// sixteen, the report is identical.
 ///
 /// A cell that traps or panics does **not** abort the cube — it is
 /// retried per [`MatrixSpec::retries`] and, still failing, recorded as
@@ -739,9 +739,8 @@ pub fn run_matrix_with(spec: &MatrixSpec, opts: &MatrixOptions) -> Result<SimRep
         }
     }
 
-    // Lock-free completion slots: exactly one writer per slot, and no
-    // lock a panicking worker could poison.
-    let slots: Vec<OnceLock<Done>> = jobs.iter().map(|_| OnceLock::new()).collect();
+    // Cells restored from the journal; the rest still need a run.
+    let mut slots: Vec<Option<Done>> = jobs.iter().map(|_| None).collect();
 
     // Journal: restore completed cells, then open for appending.
     let journal: Option<Mutex<JournalWriter>> = match &opts.journal_dir {
@@ -753,16 +752,14 @@ pub fn run_matrix_with(spec: &MatrixSpec, opts: &MatrixOptions) -> Result<SimRep
                     if !e.outcome.is_ok() {
                         continue; // failed cells re-run on resume
                     }
-                    slots[e.cell]
-                        .set(Done {
-                            outcome: e.outcome,
-                            attempts: e.attempts,
-                            resumed: true,
-                            result: e.result,
-                            metrics: e.metrics,
-                            profile: None,
-                        })
-                        .unwrap_or_else(|_| unreachable!("journal restore precedes workers"));
+                    slots[e.cell] = Some(Done {
+                        outcome: e.outcome,
+                        attempts: e.attempts,
+                        resumed: true,
+                        result: e.result,
+                        metrics: e.metrics,
+                        profile: None,
+                    });
                 }
                 JournalWriter::reopen(dir)?
             } else {
@@ -783,7 +780,7 @@ pub fn run_matrix_with(spec: &MatrixSpec, opts: &MatrixOptions) -> Result<SimRep
         .enumerate()
         .map(|(pi, profile)| {
             let all_restored =
-                (pi * per_profile..(pi + 1) * per_profile).all(|i| slots[i].get().is_some());
+                (pi * per_profile..(pi + 1) * per_profile).all(|i| slots[i].is_some());
             if all_restored {
                 return None;
             }
@@ -803,42 +800,38 @@ pub fn run_matrix_with(spec: &MatrixSpec, opts: &MatrixOptions) -> Result<SimRep
         })
         .collect();
 
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..opts.workers.min(jobs.len()) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                if slots[i].get().is_some() {
-                    continue; // restored from the journal
-                }
-                let prep = prepared[job.prepared]
-                    .as_ref()
-                    .expect("profiles with pending cells are prepared");
+    // Run the pending cells on the shared pool. Each cell is journaled as
+    // it finishes, so a killed sweep keeps every cell completed so far.
+    let pending: Vec<usize> = (0..jobs.len()).filter(|&i| slots[i].is_none()).collect();
+    let ran = run_jobs(pending.len(), opts.workers, |k| {
+        let i = pending[k];
+        let job = &jobs[i];
+        let prep = prepared[job.prepared]
+            .as_ref()
+            .expect("profiles with pending cells are prepared");
 
-                let done = run_cell(spec, opts, i, job.arch, job.model, prep);
+        let done = run_cell(spec, opts, i, job.arch, job.model, prep);
 
-                if let Some(w) = &journal {
-                    let entry = JournalEntry {
-                        cell: i,
-                        profile: job.profile.to_string(),
-                        arch: job.arch.name.to_string(),
-                        model: job.model_label.to_string(),
-                        outcome: done.outcome.clone(),
-                        attempts: done.attempts,
-                        result: done.result.clone(),
-                        metrics: done.metrics.clone(),
-                    };
-                    if let Err(e) = w.lock().expect("journal lock").append(&entry) {
-                        let _ = journal_error.set(e);
-                    }
-                }
-                slots[i]
-                    .set(done)
-                    .unwrap_or_else(|_| unreachable!("slot {i} written twice"));
-            });
+        if let Some(w) = &journal {
+            let entry = JournalEntry {
+                cell: i,
+                profile: job.profile.to_string(),
+                arch: job.arch.name.to_string(),
+                model: job.model_label.to_string(),
+                outcome: done.outcome.clone(),
+                attempts: done.attempts,
+                result: done.result.clone(),
+                metrics: done.metrics.clone(),
+            };
+            if let Err(e) = w.lock().expect("journal lock").append(&entry) {
+                let _ = journal_error.set(e);
+            }
         }
+        done
     });
+    for (i, done) in pending.into_iter().zip(ran) {
+        slots[i] = Some(done);
+    }
 
     if let Some(e) = journal_error.get() {
         return Err(e.clone());
@@ -853,7 +846,7 @@ pub fn run_matrix_with(spec: &MatrixSpec, opts: &MatrixOptions) -> Result<SimRep
         .iter()
         .zip(slots)
         .map(|(job, slot)| {
-            let done = slot.into_inner().expect("every job ran");
+            let done = slot.expect("every job ran");
             let cell = MatrixCell {
                 profile: job.profile,
                 arch: job.arch.name,
