@@ -743,7 +743,9 @@ impl<W: Write> Write for FrameWriter<W> {
 /// The header is read and validated up front (in [`new`](Self::new)); group
 /// chunks are then decoded one at a time as the consumer reads, so memory
 /// stays bounded by one chunk regardless of content size. The structural
-/// trailer is verified when the last chunk has been consumed. Frame errors
+/// trailer is verified when the last chunk has been consumed, and the
+/// inner reader must end there: bytes after the frame are an error, as
+/// they are to [`unpack_frame`]. Frame errors
 /// surface as [`io::ErrorKind::InvalidData`] with the [`FrameError`] as
 /// source.
 pub struct FrameReader<R: Read> {
@@ -847,6 +849,19 @@ impl<R: Read> FrameReader<R> {
         Ok(())
     }
 
+    /// Checks that the inner reader holds nothing after the frame.
+    fn expect_end(&mut self) -> Result<(), FrameError> {
+        let mut probe = [0u8; 1];
+        loop {
+            match self.inner.read(&mut probe) {
+                Ok(0) => return Ok(()),
+                Ok(_) => return Err(FrameError::Inconsistent("trailing bytes after frame")),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(FrameError::from_io_error(&e)),
+            }
+        }
+    }
+
     /// Reads, verifies, and decodes the next group chunk into `pending`,
     /// or verifies the end-of-frame structure after the last chunk.
     fn advance(&mut self) -> Result<(), FrameError> {
@@ -858,6 +873,7 @@ impl<R: Read> FrameReader<R> {
                 &mut self.meta,
                 self.header.content_size,
             )?;
+            self.expect_end()?;
             self.finished = true;
             return Ok(());
         }
@@ -1158,6 +1174,18 @@ mod tests {
         assert_eq!(
             unpack_frame(&frame, &UnpackOptions::default()),
             Err(FrameError::Inconsistent("trailing bytes after frame"))
+        );
+    }
+
+    #[test]
+    fn reader_rejects_trailing_garbage_like_unpack() {
+        let mut frame = pack_frame(&text(100), &PackOptions::default());
+        frame.extend_from_slice(b"garbage");
+        let mut r = FrameReader::new(&frame[..]).unwrap();
+        let err = r.read_to_end(&mut Vec::new()).unwrap_err();
+        assert_eq!(
+            FrameError::from_io_error(&err),
+            FrameError::Inconsistent("trailing bytes after frame")
         );
     }
 

@@ -7,11 +7,12 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
-use codepack_isa::{
-    decode, DecodeInstructionError, Instruction, Program, Reg, STACK_BASE, TEXT_BASE,
-};
+use codepack_isa::{DecodeInstructionError, Instruction, Program, Reg, STACK_BASE};
 use codepack_mem::SparseMemory;
+
+use crate::trace::{DecodedText, StepSource};
 
 /// Why execution stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,7 +134,7 @@ pub struct Machine {
     retired: u64,
     mem: SparseMemory,
     /// Pre-decoded text section (decode errors surface at execution).
-    decoded: Vec<Result<Instruction, DecodeInstructionError>>,
+    text: Arc<DecodedText>,
 }
 
 impl Machine {
@@ -141,7 +142,6 @@ impl Machine {
     /// [`codepack_isa::DATA_BASE`], `$sp` set to [`STACK_BASE`], PC to the
     /// entry point.
     pub fn load(program: &Program) -> Machine {
-        let decoded = program.text_words().iter().map(|&w| decode(w)).collect();
         let mut mem = SparseMemory::new();
         mem.load(codepack_isa::DATA_BASE, program.data_bytes());
         let mut regs = [0u32; 32];
@@ -156,7 +156,7 @@ impl Machine {
             halted: false,
             retired: 0,
             mem,
-            decoded,
+            text: Arc::new(DecodedText::new(program.text_words())),
         }
     }
 
@@ -213,13 +213,11 @@ impl Machine {
         use Instruction::*;
 
         let pc = self.pc;
-        let index = pc
-            .checked_sub(TEXT_BASE)
-            .map(|o| (o / 4) as usize)
-            .filter(|&i| i < self.decoded.len() && pc.is_multiple_of(4))
-            .ok_or(ExecError::PcOutOfText { pc })?;
-        let insn =
-            self.decoded[index].map_err(|cause| ExecError::IllegalInstruction { pc, cause })?;
+        let insn = self
+            .text
+            .insn(pc)
+            .ok_or(ExecError::PcOutOfText { pc })?
+            .map_err(|cause| ExecError::IllegalInstruction { pc, cause })?;
 
         let mut next_pc = pc.wrapping_add(4);
         let mut mem_access = None;
@@ -453,6 +451,20 @@ impl Machine {
         mix(self.lo);
         mix(self.pc);
         h
+    }
+}
+
+impl StepSource for Machine {
+    fn text(&self) -> &Arc<DecodedText> {
+        &self.text
+    }
+
+    fn next_step(&mut self) -> Result<Option<StepInfo>, ExecError> {
+        if self.halted {
+            return Ok(None);
+        }
+        let info = self.step()?;
+        Ok((!self.halted).then_some(info))
     }
 }
 

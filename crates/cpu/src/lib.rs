@@ -8,6 +8,13 @@
 //! The L1 I-miss path is pluggable ([`codepack_core::FetchEngine`]): native
 //! burst reads or the CodePack decompressor.
 //!
+//! The timing model is trace-driven: [`Pipeline::run`] consumes the steps
+//! of any [`StepSource`], either a live [`Machine`] or a [`TraceReplay`] of
+//! a [`Trace`] recorded from one. Execution never depends on the machine
+//! that times it, so an experiment that times one program on many machines
+//! executes it once and replays the trace in each; a replay's statistics
+//! are bit-identical to a live run's.
+//!
 //! ```
 //! use codepack_cpu::{Machine, Pipeline, PipelineConfig};
 //! use codepack_core::NativeFetch;
@@ -40,7 +47,9 @@
 mod bpred;
 mod exec;
 mod pipeline;
+mod trace;
 
 pub use bpred::{DirectionPredictor, PredictorConfig, PredictorStats, ReturnAddressStack};
 pub use exec::{ExecError, Machine, MemAccess, StepInfo};
 pub use pipeline::{FuClass, FuCounts, L2Config, Pipeline, PipelineConfig, PipelineStats};
+pub use trace::{DecodedText, StepSource, Trace, TraceReplay};

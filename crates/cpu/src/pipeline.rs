@@ -3,9 +3,10 @@
 //! One parameterized model covers the paper's three machines (Table 2): the
 //! 1-issue in-order 5-stage pipeline and the 4/8-issue out-of-order RUU
 //! machines. The model is trace-driven, like SimpleScalar's `sim-outorder`:
-//! the functional [`Machine`](crate::Machine) retires instructions in
-//! program order and the timing model assigns each one fetch / dispatch /
-//! issue / writeback / commit cycles subject to:
+//! a [`StepSource`] (the functional [`Machine`](crate::Machine), or a
+//! replay of a [`Trace`](crate::Trace) recorded from it) retires
+//! instructions in program order and the timing model assigns each one
+//! fetch / dispatch / issue / writeback / commit cycles subject to:
 //!
 //! * fetch-width instructions per cycle from the L1 I-cache, fetch group
 //!   ending at taken branches; I-misses serviced by a pluggable
@@ -17,16 +18,26 @@
 //! * branch prediction (bimodal / gshare / hybrid + return-address stack);
 //!   a mispredict restarts fetch after the branch resolves,
 //! * in-order commit, commit-width per cycle.
+//!
+//! The per-instruction path is a table walk: what the model needs of each
+//! static instruction (scoreboard slots, function unit, latency, how it
+//! steers fetch) is precomputed once per text word ([`StaticOp`]), the
+//! window rings advance by wrapping indices, issue slots are cycle-tagged
+//! ring cells, and store→load forwarding reads a two-level page table.
+
+use std::sync::Arc;
 
 use codepack_core::{FetchEngine, MissSource};
 use codepack_isa::{Instruction, Reg};
 use codepack_mem::{
-    Cache, CacheConfig, CacheStats, FaultDomain, FaultStats, MemoryTiming, SoftErrorConfig,
+    Cache, CacheConfig, CacheStats, FaultDomain, FaultStats, MemoryTiming, PageTable,
+    SoftErrorConfig,
 };
 use codepack_obs::{names, EventKind, FaultArea, MissOrigin, Obs};
 
 use crate::bpred::{DirectionPredictor, PredictorConfig, ReturnAddressStack};
-use crate::exec::{ExecError, Machine, StepInfo};
+use crate::exec::{ExecError, StepInfo};
+use crate::trace::StepSource;
 
 /// Function-unit classes (paper Table 2 lists per-class counts).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -223,19 +234,239 @@ impl PipelineStats {
     }
 }
 
-/// One register-file slot in the ready-time scoreboard.
-const HI_LO: usize = 32;
-const INT_SLOTS: usize = 33;
-const FCC: usize = 32;
-const FP_SLOTS: usize = 33;
+/// Slots of the ready-time scoreboard: the integer registers, HI/LO, the
+/// FP registers, the FP condition flag, and a sink. `$zero` (slot 0) is
+/// never written, so a missing source operand reads it and waits for
+/// nothing; a result nothing reads (to `$zero`, or from an instruction
+/// without a destination) goes to the sink.
+const HI_LO: u8 = 32;
+const FP_BASE: u8 = 33;
+const FCC: u8 = FP_BASE + 32;
+const SINK: u8 = FCC + 1;
+const SLOTS: usize = SINK as usize + 1;
 
 /// Issue-bandwidth ring: large enough that the in-flight window can never
 /// wrap onto itself (window is bounded by RUU lifetime ≪ ring size).
 const ISSUE_RING: usize = 1 << 16;
 
+/// Bits of an issue-ring cell holding the issue count; the rest hold the
+/// cycle the count belongs to.
+const ISSUE_COUNT_BITS: u32 = 16;
+
+/// How an instruction steers fetch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Flow {
+    /// Not a control transfer.
+    Next,
+    /// A conditional branch.
+    Branch,
+    /// `j`: direction and target known at decode.
+    Jump,
+    /// `jal`.
+    Call,
+    /// `jalr`: an indirect call.
+    IndirectCall,
+    /// `jr`; `via_ra` when it jumps through `$ra`, the one case the
+    /// return-address stack predicts.
+    JumpRegister { via_ra: bool },
+}
+
+/// What a step records beyond its PC: a memory address, or where control
+/// went.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Recorded {
+    /// Nothing: the next PC is the fall-through.
+    None,
+    /// A load's effective address.
+    Load,
+    /// A store's effective address.
+    Store,
+    /// A conditional branch: the next PC, with the direction in bit 0
+    /// (both of its possible next PCs are word-aligned).
+    Branch,
+    /// A jump: the next PC as is (a register jump may leave it
+    /// unaligned); jumps are always taken.
+    Jump,
+}
+
+/// Everything the timing model needs of one static instruction, computed
+/// once per text word so that each dynamic instruction does a table
+/// lookup instead of matching on the instruction.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct StaticOp {
+    /// Scoreboard slots read.
+    sources: [u8; 2],
+    /// Scoreboard slot written.
+    dest: u8,
+    fu: FuClass,
+    latency: u8,
+    occupancy: u8,
+    flow: Flow,
+    pub(crate) recorded: Recorded,
+}
+
+impl StaticOp {
+    /// The record of `insn`.
+    pub(crate) fn of(insn: &Instruction) -> StaticOp {
+        use Instruction::*;
+        let (fu, latency, occupancy) = match insn {
+            Mult { .. } | Multu { .. } => (FuClass::IntMult, 3, 1),
+            Div { .. } | Divu { .. } => (FuClass::IntMult, 20, 19),
+            Mfhi { .. } | Mflo { .. } => (FuClass::IntAlu, 1, 1),
+            AddS { .. }
+            | SubS { .. }
+            | CEqS { .. }
+            | CLtS { .. }
+            | CLeS { .. }
+            | MovS { .. }
+            | CvtSW { .. }
+            | CvtWS { .. } => (FuClass::FpAlu, 2, 1),
+            MulS { .. } => (FuClass::FpMult, 4, 1),
+            DivS { .. } => (FuClass::FpMult, 12, 12),
+            i if i.is_load() || i.is_store() => (FuClass::MemPort, 1, 1),
+            _ => (FuClass::IntAlu, 1, 1),
+        };
+        let [a, b] = sources(insn);
+        let flow = match *insn {
+            J { .. } => Flow::Jump,
+            Jal { .. } => Flow::Call,
+            Jalr { .. } => Flow::IndirectCall,
+            Jr { rs } => Flow::JumpRegister {
+                via_ra: rs == Reg::RA,
+            },
+            i if i.is_branch() => Flow::Branch,
+            _ => Flow::Next,
+        };
+        let recorded = match flow {
+            Flow::Next if insn.is_load() => Recorded::Load,
+            Flow::Next if insn.is_store() => Recorded::Store,
+            Flow::Next => Recorded::None,
+            Flow::Branch => Recorded::Branch,
+            _ => Recorded::Jump,
+        };
+        StaticOp {
+            sources: [a.unwrap_or(0), b.unwrap_or(0)],
+            dest: match destination(insn) {
+                Some(0) | None => SINK,
+                Some(slot) => slot,
+            },
+            fu,
+            latency,
+            occupancy,
+            flow,
+            recorded,
+        }
+    }
+}
+
+fn int(r: Reg) -> Option<u8> {
+    Some(r.index())
+}
+
+fn fp(r: codepack_isa::FReg) -> Option<u8> {
+    Some(FP_BASE + r.index())
+}
+
+/// Scoreboard slots read by an instruction.
+fn sources(insn: &Instruction) -> [Option<u8>; 2] {
+    use Instruction::*;
+    match *insn {
+        Sll { rt, .. } | Srl { rt, .. } | Sra { rt, .. } => [int(rt), None],
+        Sllv { rt, rs, .. } | Srlv { rt, rs, .. } | Srav { rt, rs, .. } => [int(rt), int(rs)],
+        Jr { rs } | Jalr { rs, .. } => [int(rs), None],
+        Mfhi { .. } | Mflo { .. } => [Some(HI_LO), None],
+        Mult { rs, rt } | Multu { rs, rt } | Div { rs, rt } | Divu { rs, rt } => [int(rs), int(rt)],
+        Addu { rs, rt, .. }
+        | Subu { rs, rt, .. }
+        | And { rs, rt, .. }
+        | Or { rs, rt, .. }
+        | Xor { rs, rt, .. }
+        | Nor { rs, rt, .. }
+        | Slt { rs, rt, .. }
+        | Sltu { rs, rt, .. }
+        | Beq { rs, rt, .. }
+        | Bne { rs, rt, .. } => [int(rs), int(rt)],
+        Blez { rs, .. } | Bgtz { rs, .. } | Bltz { rs, .. } | Bgez { rs, .. } => [int(rs), None],
+        Addiu { rs, .. }
+        | Slti { rs, .. }
+        | Sltiu { rs, .. }
+        | Andi { rs, .. }
+        | Ori { rs, .. }
+        | Xori { rs, .. } => [int(rs), None],
+        Lb { base, .. }
+        | Lh { base, .. }
+        | Lw { base, .. }
+        | Lbu { base, .. }
+        | Lhu { base, .. } => [int(base), None],
+        Sb { rt, base, .. } | Sh { rt, base, .. } | Sw { rt, base, .. } => [int(rt), int(base)],
+        Lwc1 { base, .. } => [int(base), None],
+        Swc1 { ft, base, .. } => [fp(ft), int(base)],
+        AddS { fs, ft, .. } | SubS { fs, ft, .. } | MulS { fs, ft, .. } | DivS { fs, ft, .. } => {
+            [fp(fs), fp(ft)]
+        }
+        MovS { fs, .. } | CvtSW { fs, .. } | CvtWS { fs, .. } => [fp(fs), None],
+        CEqS { fs, ft } | CLtS { fs, ft } | CLeS { fs, ft } => [fp(fs), fp(ft)],
+        Bc1t { .. } | Bc1f { .. } => [Some(FCC), None],
+        Mtc1 { rt, .. } => [int(rt), None],
+        Mfc1 { fs, .. } => [fp(fs), None],
+        Lui { .. } | J { .. } | Jal { .. } | Syscall | Break => [None, None],
+    }
+}
+
+/// Scoreboard slot written by an instruction.
+fn destination(insn: &Instruction) -> Option<u8> {
+    use Instruction::*;
+    match *insn {
+        Sll { rd, .. }
+        | Srl { rd, .. }
+        | Sra { rd, .. }
+        | Sllv { rd, .. }
+        | Srlv { rd, .. }
+        | Srav { rd, .. }
+        | Mfhi { rd }
+        | Mflo { rd }
+        | Addu { rd, .. }
+        | Subu { rd, .. }
+        | And { rd, .. }
+        | Or { rd, .. }
+        | Xor { rd, .. }
+        | Nor { rd, .. }
+        | Slt { rd, .. }
+        | Sltu { rd, .. }
+        | Jalr { rd, .. } => int(rd),
+        Mult { .. } | Multu { .. } | Div { .. } | Divu { .. } => Some(HI_LO),
+        Addiu { rt, .. }
+        | Slti { rt, .. }
+        | Sltiu { rt, .. }
+        | Andi { rt, .. }
+        | Ori { rt, .. }
+        | Xori { rt, .. }
+        | Lui { rt, .. }
+        | Lb { rt, .. }
+        | Lh { rt, .. }
+        | Lw { rt, .. }
+        | Lbu { rt, .. }
+        | Lhu { rt, .. }
+        | Mfc1 { rt, .. } => int(rt),
+        Jal { .. } => int(Reg::RA),
+        AddS { fd, .. }
+        | SubS { fd, .. }
+        | MulS { fd, .. }
+        | DivS { fd, .. }
+        | MovS { fd, .. }
+        | CvtSW { fd, .. }
+        | CvtWS { fd, .. } => fp(fd),
+        CEqS { .. } | CLtS { .. } | CLeS { .. } => Some(FCC),
+        Mtc1 { fs, .. } => fp(fs),
+        Lwc1 { ft, .. } => fp(ft),
+        _ => None,
+    }
+}
+
 /// A cycle-level pipeline bound to an I-miss service engine.
 ///
-/// Drives a functional [`Machine`] and accounts cycles; see the module
+/// Consumes the steps of a [`StepSource`] (a live [`Machine`](crate::Machine) or a
+/// [`Trace`](crate::Trace) replay) and accounts cycles; see the module
 /// documentation for the model.
 pub struct Pipeline {
     config: PipelineConfig,
@@ -261,17 +492,24 @@ pub struct Pipeline {
     commit_cycle: u64,
     committed_this_cycle: u32,
     last_issue: u64,
-    int_ready: [u64; INT_SLOTS],
-    fp_ready: [u64; FP_SLOTS],
-    store_wb: std::collections::HashMap<u32, u64>,
+    /// Cycle at which each scoreboard slot's value is ready.
+    ready: [u64; SLOTS],
+    /// Write-back cycle of the latest store to each word, for store→load
+    /// forwarding; zero (never a constraint) for words never stored.
+    store_wb: PageTable<u64, 10>,
     fu_free: FuPools,
-    issue_count: Vec<u16>,
-    issue_clear_hi: u64,
+    /// Issues per cycle, one cell per cycle modulo the ring: the cycle in
+    /// the high bits, its issue count in the low [`ISSUE_COUNT_BITS`]. A
+    /// cell tagged with another cycle counts zero issues.
+    issue_slots: Vec<u64>,
     commit_ring: Vec<u64>,
     lsq_ring: Vec<u64>,
     disp_ring: Vec<u64>,
-    seq: u64,
-    mem_seq: u64,
+    /// This instruction's slot in the RUU (`commit_ring`), fetch-queue
+    /// (`disp_ring`) and LSQ (`lsq_ring`) rings.
+    ruu_slot: usize,
+    fq_slot: usize,
+    lsq_slot: usize,
     stats: PipelineStats,
     /// Soft-error configuration for resident I-cache lines; `None` leaves
     /// the hit path untouched.
@@ -292,39 +530,25 @@ struct MissStream {
     fill_at: u64,
 }
 
-struct FuPools {
-    int_alu: Vec<u64>,
-    int_mult: Vec<u64>,
-    mem_port: Vec<u64>,
-    fp_alu: Vec<u64>,
-    fp_mult: Vec<u64>,
-}
+/// Free-at cycle of every function unit, one pool per [`FuClass`].
+struct FuPools([Vec<u64>; 5]);
 
 impl FuPools {
     fn new(fu: &FuCounts) -> FuPools {
-        FuPools {
-            int_alu: vec![0; fu.int_alu as usize],
-            int_mult: vec![0; fu.int_mult as usize],
-            mem_port: vec![0; fu.mem_port as usize],
-            fp_alu: vec![0; fu.fp_alu as usize],
-            fp_mult: vec![0; fu.fp_mult as usize],
-        }
-    }
-
-    fn pool(&mut self, class: FuClass) -> &mut Vec<u64> {
-        match class {
-            FuClass::IntAlu => &mut self.int_alu,
-            FuClass::IntMult => &mut self.int_mult,
-            FuClass::MemPort => &mut self.mem_port,
-            FuClass::FpAlu => &mut self.fp_alu,
-            FuClass::FpMult => &mut self.fp_mult,
-        }
+        let pool = |n: u32| vec![0; n as usize];
+        FuPools([
+            pool(fu.int_alu),
+            pool(fu.int_mult),
+            pool(fu.mem_port),
+            pool(fu.fp_alu),
+            pool(fu.fp_mult),
+        ])
     }
 
     /// Earliest cycle ≥ `earliest` at which a unit is free; reserves it
     /// until `occupancy` cycles after the returned time.
     fn acquire(&mut self, class: FuClass, earliest: u64, occupancy: u64) -> u64 {
-        let pool = self.pool(class);
+        let pool = &mut self.0[class as usize];
         let (idx, &free_at) = pool
             .iter()
             .enumerate()
@@ -336,132 +560,12 @@ impl FuPools {
     }
 }
 
-/// Execution latency and FU occupancy of an instruction.
-fn latency(insn: &Instruction) -> (FuClass, u64, u64) {
-    use Instruction::*;
-    match insn {
-        Mult { .. } | Multu { .. } => (FuClass::IntMult, 3, 1),
-        Div { .. } | Divu { .. } => (FuClass::IntMult, 20, 19),
-        Mfhi { .. } | Mflo { .. } => (FuClass::IntAlu, 1, 1),
-        AddS { .. }
-        | SubS { .. }
-        | CEqS { .. }
-        | CLtS { .. }
-        | CLeS { .. }
-        | MovS { .. }
-        | CvtSW { .. }
-        | CvtWS { .. } => (FuClass::FpAlu, 2, 1),
-        MulS { .. } => (FuClass::FpMult, 4, 1),
-        DivS { .. } => (FuClass::FpMult, 12, 12),
-        i if i.is_load() || i.is_store() => (FuClass::MemPort, 1, 1),
-        _ => (FuClass::IntAlu, 1, 1),
-    }
-}
-
-/// Source-operand register slots read by an instruction.
-fn sources(insn: &Instruction) -> [Option<(bool, usize)>; 3] {
-    use Instruction::*;
-    // (is_fp, slot)
-    let int = |r: Reg| Some((false, r.index() as usize));
-    let fp = |r: codepack_isa::FReg| Some((true, r.index() as usize));
-    match *insn {
-        Sll { rt, .. } | Srl { rt, .. } | Sra { rt, .. } => [int(rt), None, None],
-        Sllv { rt, rs, .. } | Srlv { rt, rs, .. } | Srav { rt, rs, .. } => [int(rt), int(rs), None],
-        Jr { rs } | Jalr { rs, .. } => [int(rs), None, None],
-        Mfhi { .. } | Mflo { .. } => [Some((false, HI_LO)), None, None],
-        Mult { rs, rt } | Multu { rs, rt } | Div { rs, rt } | Divu { rs, rt } => {
-            [int(rs), int(rt), None]
-        }
-        Addu { rs, rt, .. }
-        | Subu { rs, rt, .. }
-        | And { rs, rt, .. }
-        | Or { rs, rt, .. }
-        | Xor { rs, rt, .. }
-        | Nor { rs, rt, .. }
-        | Slt { rs, rt, .. }
-        | Sltu { rs, rt, .. }
-        | Beq { rs, rt, .. }
-        | Bne { rs, rt, .. } => [int(rs), int(rt), None],
-        Blez { rs, .. } | Bgtz { rs, .. } | Bltz { rs, .. } | Bgez { rs, .. } => {
-            [int(rs), None, None]
-        }
-        Addiu { rs, .. }
-        | Slti { rs, .. }
-        | Sltiu { rs, .. }
-        | Andi { rs, .. }
-        | Ori { rs, .. }
-        | Xori { rs, .. } => [int(rs), None, None],
-        Lb { base, .. }
-        | Lh { base, .. }
-        | Lw { base, .. }
-        | Lbu { base, .. }
-        | Lhu { base, .. } => [int(base), None, None],
-        Sb { rt, base, .. } | Sh { rt, base, .. } | Sw { rt, base, .. } => {
-            [int(rt), int(base), None]
-        }
-        Lwc1 { base, .. } => [int(base), None, None],
-        Swc1 { ft, base, .. } => [fp(ft), int(base), None],
-        AddS { fs, ft, .. } | SubS { fs, ft, .. } | MulS { fs, ft, .. } | DivS { fs, ft, .. } => {
-            [fp(fs), fp(ft), None]
-        }
-        MovS { fs, .. } | CvtSW { fs, .. } | CvtWS { fs, .. } => [fp(fs), None, None],
-        CEqS { fs, ft } | CLtS { fs, ft } | CLeS { fs, ft } => [fp(fs), fp(ft), None],
-        Bc1t { .. } | Bc1f { .. } => [Some((true, FCC)), None, None],
-        Mtc1 { rt, .. } => [int(rt), None, None],
-        Mfc1 { fs, .. } => [fp(fs), None, None],
-        Lui { .. } | J { .. } | Jal { .. } | Syscall | Break => [None, None, None],
-    }
-}
-
-/// Destination register slot written by an instruction.
-fn destination(insn: &Instruction) -> Option<(bool, usize)> {
-    use Instruction::*;
-    let int = |r: Reg| Some((false, r.index() as usize));
-    let fp = |r: codepack_isa::FReg| Some((true, r.index() as usize));
-    match *insn {
-        Sll { rd, .. }
-        | Srl { rd, .. }
-        | Sra { rd, .. }
-        | Sllv { rd, .. }
-        | Srlv { rd, .. }
-        | Srav { rd, .. }
-        | Mfhi { rd }
-        | Mflo { rd }
-        | Addu { rd, .. }
-        | Subu { rd, .. }
-        | And { rd, .. }
-        | Or { rd, .. }
-        | Xor { rd, .. }
-        | Nor { rd, .. }
-        | Slt { rd, .. }
-        | Sltu { rd, .. }
-        | Jalr { rd, .. } => int(rd),
-        Mult { .. } | Multu { .. } | Div { .. } | Divu { .. } => Some((false, HI_LO)),
-        Addiu { rt, .. }
-        | Slti { rt, .. }
-        | Sltiu { rt, .. }
-        | Andi { rt, .. }
-        | Ori { rt, .. }
-        | Xori { rt, .. }
-        | Lui { rt, .. }
-        | Lb { rt, .. }
-        | Lh { rt, .. }
-        | Lw { rt, .. }
-        | Lbu { rt, .. }
-        | Lhu { rt, .. }
-        | Mfc1 { rt, .. } => int(rt),
-        Jal { .. } => int(Reg::RA),
-        AddS { fd, .. }
-        | SubS { fd, .. }
-        | MulS { fd, .. }
-        | DivS { fd, .. }
-        | MovS { fd, .. }
-        | CvtSW { fd, .. }
-        | CvtWS { fd, .. } => fp(fd),
-        CEqS { .. } | CLtS { .. } | CLeS { .. } => Some((true, FCC)),
-        Mtc1 { fs, .. } => fp(fs),
-        Lwc1 { ft, .. } => fp(ft),
-        _ => None,
+/// Steps `slot` one place round a ring of `len` entries.
+#[inline]
+fn advance(slot: &mut usize, len: usize) {
+    *slot += 1;
+    if *slot == len {
+        *slot = 0;
     }
 }
 
@@ -494,17 +598,16 @@ impl Pipeline {
             commit_cycle: 0,
             committed_this_cycle: 0,
             last_issue: 0,
-            int_ready: [0; INT_SLOTS],
-            fp_ready: [0; FP_SLOTS],
-            store_wb: std::collections::HashMap::new(),
+            ready: [0; SLOTS],
+            store_wb: PageTable::new(),
             fu_free: FuPools::new(&config.fu),
-            issue_count: vec![0; ISSUE_RING],
-            issue_clear_hi: 0,
+            issue_slots: vec![0; ISSUE_RING],
             commit_ring: vec![0; config.ruu_size],
             lsq_ring: vec![0; config.lsq_size],
             disp_ring: vec![0; config.fetch_queue],
-            seq: 0,
-            mem_seq: 0,
+            ruu_slot: 0,
+            fq_slot: 0,
+            lsq_slot: 0,
             stats: PipelineStats::default(),
             soft_errors: None,
             pending_machine_check: None,
@@ -559,8 +662,12 @@ impl Pipeline {
         self.l2 = Some((Cache::new(config.cache), config.hit_cycles));
     }
 
-    /// Runs `machine` until it halts or `max_insns` instructions retire;
-    /// returns the timing statistics.
+    /// Runs the steps of `source` (a live [`Machine`](crate::Machine) or a
+    /// [`Trace`](crate::Trace) replay) until the program halts or
+    /// `max_insns` instructions retire; returns the timing statistics. A
+    /// replay of a trace recorded with the same budget yields the same
+    /// statistics, bit for bit, as running the machine it was recorded
+    /// from.
     ///
     /// # Errors
     ///
@@ -568,17 +675,17 @@ impl Pipeline {
     /// precise [`ExecError::MachineCheck`] raised when a detected soft error
     /// exhausts its re-fetch budget; partial statistics remain readable
     /// through [`Self::stats`] in that case.
-    pub fn run(
+    pub fn run<S: StepSource + ?Sized>(
         &mut self,
-        machine: &mut Machine,
+        source: &mut S,
         max_insns: u64,
     ) -> Result<PipelineStats, ExecError> {
-        while !machine.halted() && self.stats.instructions < max_insns {
-            let info = machine.step()?;
-            if machine.halted() {
+        let text = Arc::clone(source.text());
+        while self.stats.instructions < max_insns {
+            let Some(info) = source.next_step()? else {
                 break;
-            }
-            self.account(&info);
+            };
+            self.account(&info, text.op(info.pc));
             if let Some(pc) = self.pending_machine_check {
                 self.finish_stats();
                 return Err(ExecError::MachineCheck { pc });
@@ -671,8 +778,8 @@ impl Pipeline {
         }
     }
 
-    /// Accounts one retired instruction. Exposed for fine-grained tests.
-    pub fn account(&mut self, info: &StepInfo) {
+    /// Accounts one retired instruction, whose static record is `op`.
+    fn account(&mut self, info: &StepInfo, op: &StaticOp) {
         self.stats.instructions += 1;
         let line_bytes = self.icache.config().line_bytes();
         let line = info.pc & !(line_bytes - 1);
@@ -750,7 +857,7 @@ impl Pipeline {
                 }
                 self.miss_stream = Some(MissStream {
                     line,
-                    critical_word: (info.pc % line_bytes) / 4,
+                    critical_word: (info.pc & (line_bytes - 1)) / 4,
                     critical_at,
                     fill_at: self.fetch_cycle + fill,
                 });
@@ -762,8 +869,8 @@ impl Pipeline {
             // word; fetch cannot outrun the fill.
             if ms.line == line {
                 let words = line_bytes / 4;
-                let word = (info.pc % line_bytes) / 4;
-                let dist = u64::from((word + words - ms.critical_word) % words);
+                let word = (info.pc & (line_bytes - 1)) / 4;
+                let dist = u64::from((word + words - ms.critical_word) & (words - 1));
                 let bound = ms.critical_at
                     + dist * (ms.fill_at - ms.critical_at) / u64::from(words - 1).max(1);
                 if bound > self.fetch_cycle {
@@ -773,7 +880,7 @@ impl Pipeline {
             }
         }
         // Fetch-queue back-pressure: slot frees when an instruction dispatches.
-        let fq_limit = self.disp_ring[(self.seq % self.disp_ring.len() as u64) as usize];
+        let fq_limit = self.disp_ring[self.fq_slot];
         if fq_limit > self.fetch_cycle {
             self.fetch_cycle = fq_limit;
             self.fetched_this_cycle = 0;
@@ -788,12 +895,10 @@ impl Pipeline {
         // ---- dispatch ----
         let mut disp_t = (fetch_t + 1).max(self.disp_cycle);
         // RUU occupancy: the entry we reuse must have committed.
-        let ruu_limit = self.commit_ring[(self.seq % self.commit_ring.len() as u64) as usize];
-        disp_t = disp_t.max(ruu_limit);
+        disp_t = disp_t.max(self.commit_ring[self.ruu_slot]);
         let is_mem = info.mem.is_some();
         if is_mem {
-            let lsq_limit = self.lsq_ring[(self.mem_seq % self.lsq_ring.len() as u64) as usize];
-            disp_t = disp_t.max(lsq_limit);
+            disp_t = disp_t.max(self.lsq_ring[self.lsq_slot]);
         }
         if disp_t > self.disp_cycle {
             self.disp_cycle = disp_t;
@@ -804,33 +909,27 @@ impl Pipeline {
             self.disp_cycle += 1;
             self.dispatched_this_cycle = 0;
         }
-        let dr_len = self.disp_ring.len() as u64;
-        self.disp_ring[(self.seq % dr_len) as usize] = disp_t;
+        self.disp_ring[self.fq_slot] = disp_t;
+        advance(&mut self.fq_slot, self.disp_ring.len());
 
         // ---- issue ----
-        let mut ready_t = disp_t + 1;
-        for src in sources(&info.insn).into_iter().flatten() {
-            let (is_fp, slot) = src;
-            let t = if is_fp {
-                self.fp_ready[slot]
-            } else {
-                self.int_ready[slot]
-            };
-            ready_t = ready_t.max(t);
-        }
+        let [a, b] = op.sources;
+        let mut ready_t = (disp_t + 1)
+            .max(self.ready[usize::from(a)])
+            .max(self.ready[usize::from(b)]);
         // Loads wait for the latest store to the same word (forwarding).
         if let Some(mem) = info.mem {
             if !mem.store {
-                if let Some(&t) = self.store_wb.get(&(mem.addr >> 2)) {
-                    ready_t = ready_t.max(t);
-                }
+                ready_t = ready_t.max(self.store_wb.get(mem.addr >> 2));
             }
         }
         if self.config.in_order {
             ready_t = ready_t.max(self.last_issue);
         }
-        let (fu, mut lat, occupancy) = latency(&info.insn);
-        let mut issue_t = self.fu_free.acquire(fu, ready_t, occupancy);
+        let mut lat = u64::from(op.latency);
+        let mut issue_t = self
+            .fu_free
+            .acquire(op.fu, ready_t, u64::from(op.occupancy));
         issue_t = self.take_issue_slot(issue_t);
         self.last_issue = issue_t;
 
@@ -840,12 +939,10 @@ impl Pipeline {
             if mem.store {
                 // Stores retire through the write buffer; a miss costs
                 // memory beats but does not stall the pipeline.
-                self.store_wb.insert(mem.addr >> 2, issue_t + lat);
+                self.store_wb.set(mem.addr >> 2, issue_t + lat);
             } else if !hit {
-                let fill = self.dmem.line_fill(
-                    self.dcache.config().line_bytes(),
-                    mem.addr % self.dcache.config().line_bytes(),
-                );
+                let line_bytes = self.dcache.config().line_bytes();
+                let fill = self.dmem.line_fill(line_bytes, mem.addr & (line_bytes - 1));
                 lat += fill.critical_word_ready;
                 self.obs.emit(
                     issue_t,
@@ -858,13 +955,7 @@ impl Pipeline {
         }
 
         let wb_t = issue_t + lat;
-        if let Some((is_fp, slot)) = destination(&info.insn) {
-            if is_fp {
-                self.fp_ready[slot] = wb_t;
-            } else if slot != 0 {
-                self.int_ready[slot] = wb_t;
-            }
-        }
+        self.ready[usize::from(op.dest)] = wb_t;
 
         // ---- commit ----
         let mut commit_t = (wb_t + 1).max(self.commit_cycle);
@@ -878,17 +969,17 @@ impl Pipeline {
             self.committed_this_cycle = 0;
             commit_t = self.commit_cycle;
         }
-        let cr_len = self.commit_ring.len() as u64;
-        self.commit_ring[(self.seq % cr_len) as usize] = commit_t;
+        self.commit_ring[self.ruu_slot] = commit_t;
+        advance(&mut self.ruu_slot, self.commit_ring.len());
         if is_mem {
-            let lr_len = self.lsq_ring.len() as u64;
-            self.lsq_ring[(self.mem_seq % lr_len) as usize] = commit_t;
-            self.mem_seq += 1;
+            self.lsq_ring[self.lsq_slot] = commit_t;
+            advance(&mut self.lsq_slot, self.lsq_ring.len());
         }
-        self.seq += 1;
 
         // ---- control flow: redirect fetch ----
-        self.steer_fetch(info, fetch_t, wb_t);
+        if op.flow != Flow::Next {
+            self.steer_fetch(info, op.flow, fetch_t, wb_t);
+        }
     }
 
     /// Decides whether a soft error strikes the resident I-cache line being
@@ -948,33 +1039,27 @@ impl Pipeline {
     }
 
     /// Applies branch prediction and redirects the fetch cursor.
-    fn steer_fetch(&mut self, info: &StepInfo, fetch_t: u64, resolve_t: u64) {
-        use Instruction::*;
-        let insn = &info.insn;
-        if !insn.is_control() {
-            return;
-        }
-
+    fn steer_fetch(&mut self, info: &StepInfo, flow: Flow, fetch_t: u64, resolve_t: u64) {
         // (mispredicted, was an indirect-target mispredict)
-        let (mispredicted, indirect) = match *insn {
-            J { .. } => (false, false), // direction + target known at decode
-            Jal { .. } => {
+        let (mispredicted, indirect) = match flow {
+            Flow::Next | Flow::Jump => (false, false), // direction + target known at decode
+            Flow::Call => {
                 self.ras.push(info.pc.wrapping_add(4));
                 (false, false)
             }
-            Jalr { .. } => {
+            Flow::IndirectCall => {
                 self.ras.push(info.pc.wrapping_add(4));
                 (true, true) // indirect call target: no BTB modeled
             }
-            Jr { rs } => {
+            Flow::JumpRegister { via_ra } => {
                 let predicted = self.ras.pop();
-                let correct = rs == Reg::RA && predicted == Some(info.next_pc);
+                let correct = via_ra && predicted == Some(info.next_pc);
                 if !correct {
                     self.stats.indirect_mispredicts += 1;
                 }
                 (!correct, !correct)
             }
-            _ => {
+            Flow::Branch => {
                 // Conditional branch.
                 self.stats.branches += 1;
                 let predicted = self.predictor.predict_and_train(info.pc, info.taken);
@@ -1019,22 +1104,19 @@ impl Pipeline {
     /// Enforces the issue-width limit: finds the first cycle ≥ `t` with a
     /// free issue slot and claims it.
     fn take_issue_slot(&mut self, mut t: u64) -> u64 {
-        // Lazily clear ring cells we are about to enter for the first time.
-        while self.issue_clear_hi < t {
-            self.issue_clear_hi += 1;
-            self.issue_count[(self.issue_clear_hi % ISSUE_RING as u64) as usize] = 0;
-        }
+        let width = u64::from(self.config.issue_width);
         loop {
-            let cell = (t % ISSUE_RING as u64) as usize;
-            if u32::from(self.issue_count[cell]) < self.config.issue_width {
-                self.issue_count[cell] += 1;
+            let cell = &mut self.issue_slots[t as usize & (ISSUE_RING - 1)];
+            let issued = if *cell >> ISSUE_COUNT_BITS == t {
+                *cell & ((1 << ISSUE_COUNT_BITS) - 1)
+            } else {
+                0
+            };
+            if issued < width {
+                *cell = (t << ISSUE_COUNT_BITS) | (issued + 1);
                 return t;
             }
             t += 1;
-            if self.issue_clear_hi < t {
-                self.issue_clear_hi = t;
-                self.issue_count[(t % ISSUE_RING as u64) as usize] = 0;
-            }
         }
     }
 }
@@ -1051,6 +1133,7 @@ impl std::fmt::Debug for Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Machine;
     use codepack_core::NativeFetch;
     use codepack_isa::Assembler;
 

@@ -13,7 +13,7 @@
 //! * [`FullyAssociativeCache`] — the fully-associative cache used for the
 //!   decompressor's index cache (paper §5.3, Table 6),
 //! * [`SparseMemory`] — a paged functional memory backing the executor's
-//!   data space,
+//!   data space, on a deterministic two-level [`PageTable`],
 //! * [`FaultModel`] / [`IntegrityConfig`] / [`FaultStats`] — the
 //!   deterministic soft-error process, the armed integrity checks with
 //!   their modeled costs, and the injected/detected/recovered/silent
@@ -46,5 +46,5 @@ pub use fault::{
     StreamIntegrity, PPB_SCALE,
 };
 pub use fully_assoc::FullyAssociativeCache;
-pub use sparse::SparseMemory;
+pub use sparse::{PageTable, SparseMemory};
 pub use timing::{LineFill, MemoryTiming};

@@ -1,9 +1,99 @@
-//! Paged sparse functional memory.
-
-use std::collections::HashMap;
+//! Paged sparse storage: the executor's functional memory, and the
+//! two-level page table behind it.
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
+
+/// Bits of a page number resolved by each level of a [`PageTable`] below
+/// the root.
+const LEAF_BITS: u32 = 10;
+const LEAF_LEN: usize = 1 << LEAF_BITS;
+
+/// A sparse array of `T` over the whole `u32` key space, stored as pages
+/// of `2^PAGE_BITS` elements allocated on first write. A two-level table
+/// finds a page: the root indexes by the key's top bits, each leaf by the
+/// next ten bits. Unwritten elements read as `T::default()`.
+///
+/// A lookup is two indexed loads and the table has no seeded state, so
+/// its behaviour, like everything else in the simulator, is a pure
+/// function of the accesses made.
+///
+/// ```
+/// use codepack_mem::PageTable;
+/// let mut t: PageTable<u64, 10> = PageTable::new();
+/// t.set(0x3fff_ffff, 7);
+/// assert_eq!(t.get(0x3fff_ffff), 7);
+/// assert_eq!(t.get(0x1234), 0, "unwritten keys read as the default");
+/// assert_eq!(t.pages(), 1);
+/// ```
+#[derive(Clone, Debug)]
+pub struct PageTable<T, const PAGE_BITS: u32> {
+    root: Vec<Option<Leaf<T>>>,
+    pages: usize,
+}
+
+/// One leaf of a [`PageTable`]: [`LEAF_LEN`] page slots.
+type Leaf<T> = Box<[Option<Box<[T]>>]>;
+
+impl<T: Copy + Default, const PAGE_BITS: u32> PageTable<T, PAGE_BITS> {
+    const ROOT_SHIFT: u32 = PAGE_BITS + LEAF_BITS;
+
+    /// Creates an empty table.
+    pub fn new() -> Self {
+        PageTable {
+            root: vec![None; 1 << (32 - Self::ROOT_SHIFT)],
+            pages: 0,
+        }
+    }
+
+    /// Number of pages written so far.
+    pub fn pages(&self) -> usize {
+        self.pages
+    }
+
+    /// The page holding `key`, if it was ever written.
+    #[inline]
+    pub fn page(&self, key: u32) -> Option<&[T]> {
+        let leaf = self.root[(key >> Self::ROOT_SHIFT) as usize].as_deref()?;
+        leaf[(key >> PAGE_BITS) as usize & (LEAF_LEN - 1)].as_deref()
+    }
+
+    /// The page holding `key`, allocated (all defaults) on first use.
+    #[inline]
+    pub fn page_mut(&mut self, key: u32) -> &mut [T] {
+        let leaf = self.root[(key >> Self::ROOT_SHIFT) as usize]
+            .get_or_insert_with(|| vec![None; LEAF_LEN].into_boxed_slice());
+        let slot = &mut leaf[(key >> PAGE_BITS) as usize & (LEAF_LEN - 1)];
+        if slot.is_none() {
+            self.pages += 1;
+        }
+        slot.get_or_insert_with(|| vec![T::default(); 1 << PAGE_BITS].into_boxed_slice())
+    }
+
+    /// The element at `key`.
+    #[inline]
+    pub fn get(&self, key: u32) -> T {
+        self.page(key)
+            .map_or_else(T::default, |p| p[Self::offset(key)])
+    }
+
+    /// Writes the element at `key`.
+    #[inline]
+    pub fn set(&mut self, key: u32, value: T) {
+        self.page_mut(key)[Self::offset(key)] = value;
+    }
+
+    #[inline]
+    fn offset(key: u32) -> usize {
+        key as usize & ((1 << PAGE_BITS) - 1)
+    }
+}
+
+impl<T: Copy + Default, const PAGE_BITS: u32> Default for PageTable<T, PAGE_BITS> {
+    fn default() -> Self {
+        PageTable::new()
+    }
+}
 
 /// A byte-addressable sparse memory backed by 4 KiB pages allocated on first
 /// touch. Unwritten bytes read as zero, like freshly mapped pages.
@@ -23,7 +113,7 @@ const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SparseMemory {
-    pages: HashMap<u32, Box<[u8; PAGE_BYTES]>>,
+    pages: PageTable<u8, PAGE_SHIFT>,
 }
 
 impl SparseMemory {
@@ -34,26 +124,19 @@ impl SparseMemory {
 
     /// Number of pages that have been touched by a write.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.pages.pages()
     }
 
     /// Reads one byte.
     #[inline]
     pub fn read_u8(&self, addr: u32) -> u8 {
-        match self.pages.get(&(addr >> PAGE_SHIFT)) {
-            Some(page) => page[(addr as usize) & (PAGE_BYTES - 1)],
-            None => 0,
-        }
+        self.pages.get(addr)
     }
 
     /// Writes one byte.
     #[inline]
     pub fn write_u8(&mut self, addr: u32, value: u8) {
-        let page = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_BYTES]));
-        page[(addr as usize) & (PAGE_BYTES - 1)] = value;
+        self.pages.set(addr, value);
     }
 
     /// Reads a little-endian 16-bit value.
@@ -75,7 +158,7 @@ impl SparseMemory {
         // Fast path: access within one page.
         let offset = (addr as usize) & (PAGE_BYTES - 1);
         if offset + 4 <= PAGE_BYTES {
-            if let Some(page) = self.pages.get(&(addr >> PAGE_SHIFT)) {
+            if let Some(page) = self.pages.page(addr) {
                 return u32::from_le_bytes(page[offset..offset + 4].try_into().expect("4 bytes"));
             }
             return 0;
@@ -88,11 +171,7 @@ impl SparseMemory {
     pub fn write_u32(&mut self, addr: u32, value: u32) {
         let offset = (addr as usize) & (PAGE_BYTES - 1);
         if offset + 4 <= PAGE_BYTES {
-            let page = self
-                .pages
-                .entry(addr >> PAGE_SHIFT)
-                .or_insert_with(|| Box::new([0u8; PAGE_BYTES]));
-            page[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
+            self.pages.page_mut(addr)[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
             return;
         }
         self.write_u16(addr, value as u16);

@@ -43,9 +43,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use codepack_core::{run_jobs, CodePackImage, CompressionConfig};
+use codepack_cpu::Trace;
 use codepack_isa::Program;
 use codepack_obs::{names, BlockProfile, MetricsRegistry, Obs};
 use codepack_synth::{generate, BenchmarkProfile};
@@ -650,13 +652,18 @@ impl MatrixOptions {
 
 /// Runs the full cube on `workers` threads and returns the report.
 ///
-/// Programs are generated and compressed once per profile (all CodePack
-/// cells of a profile share the image when their compression options
-/// agree), then the cells run independently on the workspace's job pool
-/// ([`codepack_core::run_jobs`]): a shared atomic counter hands out job
-/// indices, each worker writes its completion into the lock-free slot for
-/// that index, and the report keeps enumeration order. One worker or
-/// sixteen, the report is identical.
+/// Each profile is prepared once, on the job pool, by the first of its
+/// cells to run: its program is generated, compressed (all CodePack cells
+/// of a profile share the image when their compression options agree),
+/// and executed once into a [`codepack_cpu::Trace`]. Every cell of the
+/// profile replays that trace through its own pipeline and fetch engine
+/// instead of re-executing the program, with results identical to a live
+/// run; the preparation is dropped when the profile's last cell finishes,
+/// so only the profiles in flight hold a trace. The cells run on the
+/// workspace's job pool ([`codepack_core::run_jobs`]): a shared atomic
+/// counter hands out job indices, each worker writes its completion into
+/// the lock-free slot for that index, and the report keeps enumeration
+/// order. One worker or sixteen, the report is identical.
 ///
 /// A cell that traps or panics does **not** abort the cube — it is
 /// retried per [`MatrixSpec::retries`] and, still failing, recorded as
@@ -770,47 +777,20 @@ pub fn run_matrix_with(spec: &MatrixSpec, opts: &MatrixOptions) -> Result<SimRep
     };
     let journal_error: OnceLock<String> = OnceLock::new();
 
-    // Per-profile setup, done once, and only for profiles that still
-    // have unfinished cells: the generated program and one compressed
-    // image per distinct compression configuration.
-    let per_profile = spec.archs.len() * spec.models.len();
-    let prepared: Vec<Option<Prepared>> = spec
-        .profiles
-        .iter()
-        .enumerate()
-        .map(|(pi, profile)| {
-            let all_restored =
-                (pi * per_profile..(pi + 1) * per_profile).all(|i| slots[i].is_some());
-            if all_restored {
-                return None;
-            }
-            let program = Arc::new(generate(profile, spec.seed));
-            let mut images: Vec<(CompressionConfig, Arc<CodePackImage>)> = Vec::new();
-            for (_, model) in &spec.models {
-                if let CodeModel::CodePack { compression, .. } = model {
-                    if !images.iter().any(|(c, _)| c == compression) {
-                        images.push((
-                            *compression,
-                            Arc::new(CodePackImage::compress(program.text_words(), compression)),
-                        ));
-                    }
-                }
-            }
-            Some(Prepared { program, images })
-        })
-        .collect();
-
     // Run the pending cells on the shared pool. Each cell is journaled as
     // it finishes, so a killed sweep keeps every cell completed so far.
     let pending: Vec<usize> = (0..jobs.len()).filter(|&i| slots[i].is_none()).collect();
+    let profiles: Vec<ProfileSlot> = (0..spec.profiles.len())
+        .map(|pi| ProfileSlot::new(pending.iter().filter(|&&i| jobs[i].prepared == pi).count()))
+        .collect();
     let ran = run_jobs(pending.len(), opts.workers, |k| {
         let i = pending[k];
         let job = &jobs[i];
-        let prep = prepared[job.prepared]
-            .as_ref()
-            .expect("profiles with pending cells are prepared");
-
-        let done = run_cell(spec, opts, i, job.arch, job.model, prep);
+        let slot = &profiles[job.prepared];
+        let prep = slot.acquire(|| Prepared::new(spec, &spec.profiles[job.prepared]));
+        let done = run_cell(spec, opts, i, job.arch, job.model, &prep);
+        drop(prep);
+        slot.release();
 
         if let Some(w) = &journal {
             let entry = JournalEntry {
@@ -936,7 +916,7 @@ fn run_cell(
                 obs.arm_profile();
             }
             Simulation::new(arch, model)
-                .try_run_observed(&prep.program, spec.max_insns, image, obs)
+                .try_replay_observed(&prep.program, &prep.trace, image, obs)
                 .map_err(|e| e.to_string())
         }));
 
@@ -995,10 +975,68 @@ fn run_cell(
 }
 
 /// Per-profile setup shared by every cell of that profile: the generated
-/// program and one compressed image per distinct compression config.
+/// program, one compressed image per distinct compression config, and
+/// the program's execution, recorded once and replayed by every cell.
 struct Prepared {
-    program: Arc<Program>,
+    program: Program,
     images: Vec<(CompressionConfig, Arc<CodePackImage>)>,
+    trace: Trace,
+}
+
+impl Prepared {
+    fn new(spec: &MatrixSpec, profile: &BenchmarkProfile) -> Prepared {
+        let program = generate(profile, spec.seed);
+        let mut images: Vec<(CompressionConfig, Arc<CodePackImage>)> = Vec::new();
+        for (_, model) in &spec.models {
+            if let CodeModel::CodePack { compression, .. } = model {
+                if !images.iter().any(|(c, _)| c == compression) {
+                    images.push((
+                        *compression,
+                        Arc::new(CodePackImage::compress(program.text_words(), compression)),
+                    ));
+                }
+            }
+        }
+        let trace = Trace::record(&program, spec.max_insns);
+        Prepared {
+            program,
+            images,
+            trace,
+        }
+    }
+}
+
+/// One profile's [`Prepared`] setup, made by the first of its pending
+/// cells to run and dropped when the last one finishes. Jobs are handed
+/// out in profile-major order, so only the profiles whose cells are in
+/// flight are resident, however long the cube's profile axis or its
+/// traces.
+struct ProfileSlot {
+    prepared: Mutex<Option<Arc<Prepared>>>,
+    pending: AtomicUsize,
+}
+
+impl ProfileSlot {
+    fn new(pending: usize) -> ProfileSlot {
+        ProfileSlot {
+            prepared: Mutex::new(None),
+            pending: AtomicUsize::new(pending),
+        }
+    }
+
+    /// The profile's setup, made by `prepare` if this is the first cell to
+    /// ask; cells asking meanwhile wait for it rather than repeat it.
+    fn acquire(&self, prepare: impl FnOnce() -> Prepared) -> Arc<Prepared> {
+        let mut slot = self.prepared.lock().expect("profile slot");
+        Arc::clone(slot.get_or_insert_with(|| Arc::new(prepare())))
+    }
+
+    /// Marks one pending cell finished; the last one drops the setup.
+    fn release(&self) {
+        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.prepared.lock().expect("profile slot").take();
+        }
+    }
 }
 
 /// Extracts a human-readable message from a caught panic payload.

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use codepack_core::{CodePackFetch, CodePackImage, CompositionStats, FetchStats, NativeFetch};
-use codepack_cpu::{ExecError, Machine, Pipeline, PipelineStats};
+use codepack_cpu::{ExecError, Machine, Pipeline, PipelineStats, Trace};
 use codepack_isa::{Program, TEXT_BASE};
 use codepack_mem::FaultStats;
 use codepack_obs::{Obs, ObsReport};
@@ -172,6 +172,39 @@ impl Simulation {
         image: Option<Arc<CodePackImage>>,
         obs: Obs,
     ) -> Result<(SimResult, Option<ObsReport>), ExecError> {
+        let mut machine = Machine::load(program);
+        self.simulate(program, image, obs, |pipeline| {
+            let stats = pipeline.run(&mut machine, max_insns)?;
+            Ok((stats, machine.state_hash()))
+        })
+    }
+
+    /// Like [`Self::try_run_observed`], but times a replay of `trace`, a
+    /// recording of `program`, instead of executing it: the result is the
+    /// same, bit for bit, as a live run with the trace's budget.
+    pub(crate) fn try_replay_observed(
+        &self,
+        program: &Program,
+        trace: &Trace,
+        image: Option<Arc<CodePackImage>>,
+        obs: Obs,
+    ) -> Result<(SimResult, Option<ObsReport>), ExecError> {
+        self.simulate(program, image, obs, |pipeline| {
+            let stats = pipeline.run(&mut trace.replay(), trace.max_insns())?;
+            Ok((stats, trace.state_hash()))
+        })
+    }
+
+    /// Builds this simulation's pipeline and fetch engine for `program`,
+    /// lets `drive` run it (returning its statistics and the final state
+    /// hash), and assembles the result.
+    fn simulate(
+        &self,
+        program: &Program,
+        image: Option<Arc<CodePackImage>>,
+        obs: Obs,
+        drive: impl FnOnce(&mut Pipeline) -> Result<(PipelineStats, u64), ExecError>,
+    ) -> Result<(SimResult, Option<ObsReport>), ExecError> {
         let mut compression = None;
         let mut protection_armed = None;
         let engine: Box<dyn codepack_core::FetchEngine> = match &self.model {
@@ -215,8 +248,7 @@ impl Simulation {
         }
         pipeline.set_soft_errors(protection_armed);
         pipeline.set_obs(obs);
-        let mut machine = Machine::load(program);
-        let stats = pipeline.run(&mut machine, max_insns)?;
+        let (stats, state_hash) = drive(&mut pipeline)?;
 
         let mut obs = pipeline.take_obs();
         if let Some(c) = &compression {
@@ -233,7 +265,7 @@ impl Simulation {
                 fetch: pipeline.fetch_engine().stats(),
                 compression,
                 retired_instructions: stats.instructions,
-                state_hash: machine.state_hash(),
+                state_hash,
                 faults: protection_armed.map(|_| stats.faults),
             },
             report,

@@ -153,41 +153,52 @@ fn mutated_frames_never_panic_and_stay_typed() {
             1 => bytes.extend((0..rng.gen_range(1usize..=8)).map(|_| rng.gen_u32() as u8)),
             _ => {}
         }
+        check_verdicts(round, &bytes);
+    }
+    // Bytes appended to an unmutated frame: every reader must reject them.
+    for (round, tail) in [(400, &b"garbage"[..]), (401, &[0u8][..])] {
+        let mut bytes = base.clone();
+        bytes.extend_from_slice(tail);
+        check_verdicts(round, &bytes);
+    }
+}
 
-        let serial = unpack_frame(&bytes, &UnpackOptions::default());
-        let parallel = unpack_frame(
-            &bytes,
-            &UnpackOptions {
-                workers: 3,
-                ..UnpackOptions::default()
-            },
-        );
-        assert_eq!(
-            serial, parallel,
-            "round {round}: serial and parallel unpack disagree on a mutated frame"
-        );
+/// The one-shot unpacker, serial and parallel, and the streaming reader
+/// reach the same verdict on `bytes`: the same words, or an error.
+fn check_verdicts(round: usize, bytes: &[u8]) {
+    let serial = unpack_frame(bytes, &UnpackOptions::default());
+    let parallel = unpack_frame(
+        bytes,
+        &UnpackOptions {
+            workers: 3,
+            ..UnpackOptions::default()
+        },
+    );
+    assert_eq!(
+        serial, parallel,
+        "round {round}: serial and parallel unpack disagree on a mutated frame"
+    );
 
-        // The streaming reader must reach the same verdict: the same words
-        // on success, an error (wrapped in io::Error) on failure.
-        let mut streamed = Vec::new();
-        let outcome = FrameReader::new(&bytes[..])
-            .map_err(drop)
-            .and_then(|mut r| std::io::copy(&mut r, &mut streamed).map_err(drop));
-        match (&serial, outcome) {
-            (Ok(words), Ok(_)) => {
-                let le: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-                assert_eq!(
-                    streamed, le,
-                    "round {round}: reader decoded different words"
-                );
-            }
-            (Err(_), Err(())) => {}
-            (s, r) => panic!(
-                "round {round}: one-shot ({}) and streaming ({}) verdicts diverge",
-                if s.is_ok() { "ok" } else { "err" },
-                if r.is_ok() { "ok" } else { "err" },
-            ),
+    // The streaming reader must reach the same verdict: the same words
+    // on success, an error (wrapped in io::Error) on failure.
+    let mut streamed = Vec::new();
+    let outcome = FrameReader::new(bytes)
+        .map_err(drop)
+        .and_then(|mut r| std::io::copy(&mut r, &mut streamed).map_err(drop));
+    match (&serial, outcome) {
+        (Ok(words), Ok(_)) => {
+            let le: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            assert_eq!(
+                streamed, le,
+                "round {round}: reader decoded different words"
+            );
         }
+        (Err(_), Err(())) => {}
+        (s, r) => panic!(
+            "round {round}: one-shot ({}) and streaming ({}) verdicts diverge",
+            if s.is_ok() { "ok" } else { "err" },
+            if r.is_ok() { "ok" } else { "err" },
+        ),
     }
 }
 

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Hermeticity gate for the deterministic core crates.
+# Hermeticity gate for the deterministic crates.
 #
 # crates/core, crates/analyze, and crates/isa must be pure functions of
 # their inputs: the codec's byte streams, the linter's reports, and the
 # decoder tables are all golden-value- and cross-worker-compared in CI,
 # so a wall-clock read or a random draw anywhere in them is a latent
-# nondeterminism bug even if today's tests happen to pass.
+# nondeterminism bug even if today's tests happen to pass. The simulator
+# crates, crates/cpu and crates/mem, are held to the same rule: every
+# simulated statistic is pinned per cell (tests/golden_matrix.rs) and
+# must not depend on the worker count or the process.
 #
 # Enforced textually (fast, dependency-free, and impossible to dodge via
 # cfg gymnastics):
@@ -17,11 +20,13 @@
 #     so a hash collection iterated into any serialized output (frames,
 #     reports, tables) is nondeterministic. There is no exception: the
 #     dictionary builder counts into a dense table and indexes ranks with
-#     a fixed-hash open-addressed table of its own.
+#     a fixed-hash open-addressed table of its own, and the simulator's
+#     functional memory and store-forwarding table are two-level page
+#     tables (codepack_mem::PageTable).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CRATES=(crates/core/src crates/analyze/src crates/isa/src)
+CRATES=(crates/core/src crates/analyze/src crates/isa/src crates/cpu/src crates/mem/src)
 fail=0
 
 ban() {
@@ -44,4 +49,4 @@ if [ "$fail" -ne 0 ]; then
     echo "hermeticity gate FAILED" >&2
     exit 1
 fi
-echo "hermeticity gate: core/analyze/isa clean"
+echo "hermeticity gate: core/analyze/isa/cpu/mem clean"
